@@ -9,7 +9,7 @@
 //!   enough to regenerate report numbers but not to continue training;
 //! * [`TrainingSnapshot`] — the full mid-run federation state at an edge
 //!   boundary, enough to resume training bitwise identically via
-//!   [`crate::run_resumed`]. This is also the state shape the
+//!   [`crate::run_span`]. This is also the state shape the
 //!   co-simulation runtime's crash-recovery path restores workers from.
 
 use std::fs;
@@ -23,8 +23,8 @@ use hieradmo_tensor::Vector;
 use hieradmo_topology::ElasticSnapshot;
 
 use crate::config::RunConfig;
-use crate::driver::RunResult;
-use crate::state::{CloudState, EdgeState, TierState, WorkerState};
+use crate::driver::{RunError, RunResult};
+use crate::state::{FlState, TierState, WorkerState};
 
 /// The serializable snapshot of one training run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -96,8 +96,8 @@ impl Checkpoint {
 }
 
 /// The complete federation state at a tick boundary — everything
-/// [`crate::run_resumed`] needs to continue a run exactly where
-/// [`crate::run_until`] stopped it.
+/// [`crate::run_span`] needs to resume a run exactly where a `stop_at`
+/// span stopped it.
 ///
 /// The batcher and dropout RNG streams are *not* stored: both are seeded
 /// from `RunConfig::seed` alone, so the resuming driver replays their
@@ -113,16 +113,16 @@ pub struct TrainingSnapshot {
     /// Worker states in flat (edge-major) order.
     pub workers: Vec<WorkerState>,
     /// Edge states.
-    pub edges: Vec<EdgeState>,
+    pub edges: Vec<TierState>,
     /// Cloud state.
-    pub cloud: CloudState,
+    pub cloud: TierState,
     /// Middle-tier states on N-tier runs, one vector per middle depth in
     /// [`hieradmo_topology::TierTree::middle_depths`] order. Empty on
     /// three-tier runs, so depth-3 snapshots keep their seed wire format.
     #[serde(default)]
     pub middle: Vec<Vec<TierState>>,
     /// The elastic topology version in force at `tick`, on elastic runs
-    /// ([`crate::elastic::run_elastic_until`]): which stable edge ids are
+    /// ([`crate::elastic`]): which stable edge ids are
     /// live and which registered worker sits where, so a resume replays
     /// the remaining churn boundaries against the identical tree. `None`
     /// on frozen-tree runs, keeping their seed wire format.
@@ -131,6 +131,94 @@ pub struct TrainingSnapshot {
 }
 
 impl TrainingSnapshot {
+    /// Opens one training span on a freshly initialized `state`: checks
+    /// the optional stop point and resume snapshot against the run, then
+    /// restores the snapshot's tier vectors into `state` (all algorithm
+    /// state lives there, so this overwrites everything
+    /// [`crate::Strategy::init`] set up). Returns the tick the span starts
+    /// after: `0` without a snapshot, else [`TrainingSnapshot::tick`].
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::BadConfig`] for a `stop_at` that is zero, past `T`, off
+    /// the `τ` grid or not past the snapshot, and for a snapshot captured
+    /// by another algorithm or off the edge-boundary grid;
+    /// [`RunError::Data`] for a snapshot whose worker, edge, middle-tier or
+    /// model shapes do not match `state`.
+    pub(crate) fn open_span(
+        resume: Option<&Self>,
+        stop_at: Option<usize>,
+        algorithm: &str,
+        cfg: &RunConfig,
+        state: &mut FlState,
+    ) -> Result<usize, RunError> {
+        if let Some(stop) = stop_at {
+            if stop == 0 || stop > cfg.total_iters || stop % cfg.tau != 0 {
+                return Err(RunError::BadConfig(format!(
+                    "stop_at must be a positive multiple of tau ({}) no larger than \
+                     total_iters ({}), got {stop}",
+                    cfg.tau, cfg.total_iters
+                )));
+            }
+        }
+        let Some(snap) = resume else {
+            return Ok(0);
+        };
+        if snap.algorithm != algorithm {
+            return Err(RunError::BadConfig(format!(
+                "snapshot was captured by {}, cannot resume under {algorithm}",
+                snap.algorithm
+            )));
+        }
+        if snap.tick == 0 || snap.tick >= cfg.total_iters || snap.tick % cfg.tau != 0 {
+            return Err(RunError::BadConfig(format!(
+                "snapshot tick {} is not an edge boundary (multiple of tau = {}) \
+                 strictly before total_iters = {}",
+                snap.tick, cfg.tau, cfg.total_iters
+            )));
+        }
+        if let Some(stop) = stop_at.filter(|&stop| stop <= snap.tick) {
+            return Err(RunError::BadConfig(format!(
+                "stop_at ({stop}) must be past the snapshot tick ({})",
+                snap.tick
+            )));
+        }
+        if snap.workers.len() != state.workers.len() || snap.edges.len() != state.edges.len() {
+            return Err(RunError::Data(format!(
+                "snapshot holds {} workers / {} edges for a federation with {} / {}",
+                snap.workers.len(),
+                snap.edges.len(),
+                state.workers.len(),
+                state.edges.len()
+            )));
+        }
+        if snap.cloud.x_plus.len() != state.dim() {
+            return Err(RunError::Data(format!(
+                "snapshot dimension {} does not match model dimension {}",
+                snap.cloud.x_plus.len(),
+                state.dim()
+            )));
+        }
+        if snap.middle.len() != state.middle.len()
+            || snap
+                .middle
+                .iter()
+                .zip(&state.middle)
+                .any(|(s, m)| s.len() != m.len())
+        {
+            return Err(RunError::Data(format!(
+                "snapshot holds {} middle tiers for a tree with {}",
+                snap.middle.len(),
+                state.middle.len()
+            )));
+        }
+        state.workers = snap.workers.clone();
+        state.edges = snap.edges.clone();
+        state.cloud = snap.cloud.clone();
+        state.middle = snap.middle.clone();
+        Ok(snap.tick)
+    }
+
     /// Serializes to a JSON string.
     ///
     /// # Panics

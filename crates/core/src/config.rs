@@ -1,7 +1,7 @@
 //! Run configuration: the paper's hyper-parameters in one struct.
 
 use hieradmo_netsim::AdversaryPlan;
-use hieradmo_topology::{ChurnPlan, TierTree};
+use hieradmo_topology::ChurnPlan;
 use serde::{Deserialize, Serialize};
 
 use crate::population::ClientSampling;
@@ -83,31 +83,19 @@ pub struct RunConfig {
     #[serde(default)]
     pub adversary: AdversaryPlan,
     /// Per-round client sampling policy for virtual-population runs
-    /// ([`crate::population::run_virtual`]). The default
-    /// ([`ClientSampling::Full`]) is today's full participation; classic
-    /// [`crate::driver::run`] ignores this field entirely, so legacy
-    /// configs (which predate it) deserialize and behave unchanged.
+    /// ([`crate::run_virtual`]). The default ([`ClientSampling::Full`]) is
+    /// today's full participation; [`crate::run`] ignores this field
+    /// entirely, so legacy configs (which predate it) deserialize and
+    /// behave unchanged.
     #[serde(default)]
     pub sampling: ClientSampling,
-    /// Deterministic topology churn for elastic runs
-    /// ([`crate::elastic::run_elastic`]). The empty plan (default) freezes
-    /// the tree and is bitwise identical to runs that predate this field;
-    /// the frozen-tree entry points ([`crate::driver::run`] and friends)
-    /// reject a non-empty plan and point at the elastic runner.
+    /// Deterministic topology churn ([`crate::elastic`]): a non-empty plan
+    /// makes [`crate::run`] and [`crate::run_span`] split the run into
+    /// topology epochs. The empty plan (default) freezes the tree and is
+    /// bitwise identical to runs that predate this field. N-tier trees and
+    /// virtual populations reject a non-empty plan.
     #[serde(default)]
     pub churn: ChurnPlan,
-    /// **Deprecated.** Edge-server count from seed-era flat configs that
-    /// embedded the topology in the run config. Topology now lives in a
-    /// [`hieradmo_topology::TierTree`] passed alongside the config; when
-    /// both legacy fields are present, [`RunConfig::legacy_tier_tree`]
-    /// maps them onto the equivalent depth-3 tree. Never re-serialized
-    /// intent: leave `None` in new configs.
-    #[serde(default)]
-    pub edges: Option<usize>,
-    /// **Deprecated.** Workers-per-edge count from seed-era flat configs;
-    /// see [`RunConfig::edges`].
-    #[serde(default)]
-    pub workers_per_edge: Option<usize>,
 }
 
 impl Default for RunConfig {
@@ -130,8 +118,6 @@ impl Default for RunConfig {
             adversary: AdversaryPlan::none(),
             sampling: ClientSampling::Full,
             churn: ChurnPlan::none(),
-            edges: None,
-            workers_per_edge: None,
         }
     }
 }
@@ -188,7 +174,6 @@ impl RunConfig {
         self.adversary.validate()?;
         self.sampling.validate()?;
         self.churn.validate()?;
-        self.legacy_tier_tree()?;
         Ok(())
     }
 
@@ -205,46 +190,6 @@ impl RunConfig {
             None => std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
-        }
-    }
-
-    /// Maps the deprecated [`RunConfig::edges`] / `workers_per_edge`
-    /// fields onto the depth-3 [`TierTree`] they always described:
-    /// `[{fanout: edges, interval: pi, Wan}, {fanout: workers_per_edge,
-    /// interval: tau, Lan}]`.
-    ///
-    /// Returns `Ok(None)` when neither legacy field is set (the modern
-    /// shape: topology travels separately).
-    ///
-    /// # Errors
-    ///
-    /// One legacy field without the other, or a zero count.
-    pub fn legacy_tier_tree(&self) -> Result<Option<TierTree>, String> {
-        match (self.edges, self.workers_per_edge) {
-            (None, None) => Ok(None),
-            (Some(edges), Some(wpe)) => {
-                if edges == 0 || wpe == 0 {
-                    return Err(format!(
-                        "legacy edges ({edges}) and workers_per_edge ({wpe}) must be positive"
-                    ));
-                }
-                // Once per process, not per call: configs are re-validated on
-                // every run and checkpoint load.
-                static NOTE: std::sync::Once = std::sync::Once::new();
-                NOTE.call_once(|| {
-                    eprintln!(
-                        "note: RunConfig fields `edges`/`workers_per_edge` are deprecated; \
-                         topology now travels as a TierTree (this config maps to \
-                         TierTree::three_tier({edges}, {wpe}, {}, {}))",
-                        self.tau, self.pi
-                    );
-                });
-                Ok(Some(TierTree::three_tier(edges, wpe, self.tau, self.pi)))
-            }
-            _ => Err(
-                "legacy fields edges and workers_per_edge must be set together or not at all"
-                    .into(),
-            ),
         }
     }
 
@@ -391,50 +336,16 @@ mod tests {
     }
 
     #[test]
-    fn legacy_topology_fields_map_to_the_depth_3_tree() {
-        use hieradmo_topology::{LinkClass, TierTree};
-        // A seed-era config that embedded the topology inline still
-        // parses — the deprecated counts are carried as optional fields.
+    fn legacy_topology_keys_still_parse() {
+        // A seed-era config that embedded the topology inline as
+        // `edges`/`workers_per_edge` still deserializes: the keys are
+        // ignored, like the removed `parallel` flag, since topology travels
+        // separately as a `Hierarchy` or `TierTree`.
         let json = serde_json::to_string(&RunConfig::default()).unwrap();
-        let legacy = json.replace(
-            "\"edges\":null,\"workers_per_edge\":null",
-            "\"edges\":4,\"workers_per_edge\":8",
-        );
-        assert_ne!(legacy, json, "expected the legacy keys in the wire form");
+        let legacy = json.replacen('{', "{\"edges\":4,\"workers_per_edge\":8,", 1);
         let cfg: RunConfig = serde_json::from_str(&legacy).unwrap();
         cfg.validate().unwrap();
-        // ... and pins exactly the depth-3 tree it always described:
-        // 4 edges syncing every π cloud-wards, 8 workers each every τ.
-        let tree = cfg.legacy_tier_tree().unwrap().unwrap();
-        assert_eq!(tree, TierTree::three_tier(4, 8, cfg.tau, cfg.pi));
-        assert_eq!(tree.depth(), 3);
-        assert_eq!(tree.num_edges(), 4);
-        assert_eq!(tree.num_workers(), 32);
-        assert_eq!(tree.tau(), cfg.tau);
-        assert_eq!(tree.pi_total(), cfg.pi);
-        assert_eq!(tree.levels()[0].link_class, LinkClass::Wan);
-        assert_eq!(tree.levels()[1].link_class, LinkClass::Lan);
-    }
-
-    #[test]
-    fn modern_configs_carry_no_legacy_topology() {
-        let cfg = RunConfig::default();
-        assert_eq!(cfg.legacy_tier_tree().unwrap(), None);
-    }
-
-    #[test]
-    fn half_specified_legacy_topology_is_rejected() {
-        let cfg = RunConfig {
-            edges: Some(4),
-            ..RunConfig::default()
-        };
-        assert!(cfg.validate().unwrap_err().contains("workers_per_edge"));
-        let cfg = RunConfig {
-            edges: Some(0),
-            workers_per_edge: Some(8),
-            ..RunConfig::default()
-        };
-        assert!(cfg.validate().is_err());
+        assert_eq!(cfg, RunConfig::default());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use hieradmo_metrics::{AdversaryCounters, ConvergenceCurve, EvalPoint, TopologyC
 use hieradmo_models::{EvalSums, Model};
 use hieradmo_netsim::adversary::{AdversarySampler, AttackModel};
 use hieradmo_tensor::Vector;
-use hieradmo_topology::{Hierarchy, Schedule, ScheduleError, TierAggregation, TierTree, Weights};
+use hieradmo_topology::{Hierarchy, Schedule, ScheduleError, TierTree, Weights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -31,8 +31,8 @@ pub use crate::pool::EVAL_CHUNK;
 use crate::pool::{
     chunk, EdgeItem, EvalChunk, EvalTarget, ExecCtx, Job, Pool, Reply, StepCtx, StepItem,
 };
-use crate::state::{EdgeState, FlState, WorkerState};
-use crate::strategy::{Strategy, TierScope};
+use crate::state::{FlState, TierState, WorkerState};
+use crate::strategy::{fire_middle_tiers, Strategy, TierScope};
 
 /// Errors a run can fail with before any training happens.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,8 +138,8 @@ pub struct RunResult {
     /// hierarchy's workers. All-zero (but still one entry per worker)
     /// when [`RunConfig::adversary`](crate::RunConfig) is empty.
     pub adversaries: Vec<AdversaryCounters>,
-    /// Churn tallies from the elastic topology layer
-    /// ([`crate::elastic::run_elastic`]). All-zero on frozen-tree runs.
+    /// Churn tallies from the elastic topology layer ([`crate::elastic`]).
+    /// All-zero on frozen-tree runs.
     pub topology: TopologyCounters,
 }
 
@@ -157,10 +157,18 @@ pub struct RunResult {
 /// [`RunConfig::threads`] for the parallelism knob and the determinism
 /// guarantee.
 ///
+/// `worker_data` registers the whole uid space: the first
+/// `hierarchy.num_workers()` datasets fill the initial tree in flat order,
+/// trailing datasets belong to registered-but-absent workers that a
+/// [`RunConfig::churn`] join can bring in. An empty plan with one dataset
+/// per worker runs the frozen-tree loop directly; anything else runs the
+/// elastic epoch segments of [`crate::elastic`] — see [`run_span`].
+///
 /// # Errors
 ///
 /// Returns [`RunError`] if the config, schedule, topology or data are
-/// inconsistent.
+/// inconsistent, or a churn event is invalid against the live topology
+/// when it applies.
 pub fn run<M, S>(
     strategy: &S,
     model: &M,
@@ -187,304 +195,114 @@ where
     .map(|(result, _)| result)
 }
 
-/// Runs `strategy` over an arbitrary-depth [`TierTree`]: the N-tier
-/// generalization of [`run`]. Worker state is laid out over the tree's
-/// edge tier ([`TierTree::edge_hierarchy`]); middle tiers fire bottom-up
-/// at their interval boundaries through
-/// [`Strategy::tier_aggregate`], between the edge and root aggregations.
+/// [`run`] with an optional N-tier tree, resume point and stop point: the
+/// one entry point behind every span of a tick-driven run.
 ///
-/// A depth-3 tree runs the *identical* code path as [`run`] on the
-/// corresponding hierarchy — no middle tiers exist, and the edge/root
-/// hooks default to the seed behavior — so results are bitwise equal
-/// (pinned by `tests/tier_equivalence.rs`).
+/// - `tree` lays the run over an arbitrary-depth [`TierTree`] whose edge
+///   tier spans `hierarchy` (usually [`TierTree::edge_hierarchy`]); middle
+///   tiers fire bottom-up at their interval boundaries through
+///   [`Strategy::tier_aggregate`], between the edge and root aggregations.
+///   A depth-3 tree is bitwise equal to no tree.
+/// - `stop_at` stops after that tick (a positive multiple of `τ` no larger
+///   than `T`) and returns the federation state there alongside the
+///   partial result.
+/// - `resume` continues from such a snapshot, bitwise identically to the
+///   uninterrupted run: the driver replays the dropout, mini-batch and
+///   adversary RNG draws of the completed prefix without recomputing any
+///   steps. The returned curve and traces cover only this span.
 ///
-/// # Errors
-///
-/// Everything [`run`] rejects, plus a config whose `(τ, π)` disagree
-/// with the tree (`cfg.tau` must equal [`TierTree::tau`], `cfg.pi` must
-/// equal [`TierTree::pi_total`]) or worker data that does not span the
-/// tree's leaves.
-pub fn run_tiered<M, S>(
-    strategy: &S,
-    model: &M,
-    tree: &TierTree,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-) -> Result<RunResult, RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    let hierarchy = tree.edge_hierarchy();
-    run_span(
-        strategy,
-        model,
-        &hierarchy,
-        worker_data,
-        test_data,
-        cfg,
-        None,
-        None,
-        Some(tree),
-    )
-    .map(|(result, _)| result)
-}
-
-/// The N-tier counterpart of [`run_until`]: stops at an edge boundary
-/// and returns the snapshot (which carries every middle tier's state —
-/// see [`TrainingSnapshot::middle`]) alongside the partial result.
+/// The path follows the inputs. An empty [`RunConfig::churn`] plan with
+/// one dataset per worker (and a snapshot without a topology version)
+/// runs the frozen-tree loop, so its snapshots keep `topology: None`.
+/// Anything else runs the elastic epoch segments: the frozen loop once per
+/// topology epoch, with the churn boundary applied to the snapshot in
+/// between; its snapshots carry the topology version in force at
+/// `stop_at`, and a stop exactly at a churn boundary captures the
+/// *post*-transform tree, so resuming never re-applies the boundary.
 ///
 /// # Errors
 ///
-/// Everything [`run_tiered`] and [`run_until`] reject.
+/// Everything [`run`] rejects, plus a tree whose `(τ, π)` or shape
+/// disagree with the config or hierarchy, a tree together with a
+/// non-empty churn plan ([`RunError::BadConfig`]), an invalid `stop_at`,
+/// and a snapshot whose algorithm, tick or shapes do not match this run.
 #[allow(clippy::too_many_arguments)]
-pub fn run_tiered_until<M, S>(
-    strategy: &S,
-    model: &M,
-    tree: &TierTree,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    stop_at: usize,
-) -> Result<(RunResult, TrainingSnapshot), RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    let hierarchy = tree.edge_hierarchy();
-    let (result, snapshot) = run_span(
-        strategy,
-        model,
-        &hierarchy,
-        worker_data,
-        test_data,
-        cfg,
-        None,
-        Some(stop_at),
-        Some(tree),
-    )?;
-    Ok((
-        result,
-        snapshot.expect("run_span produces a snapshot whenever stop_at is given"),
-    ))
-}
-
-/// The N-tier counterpart of [`run_resumed`]: continues from a snapshot
-/// captured by [`run_tiered_until`] with the same tree, strategy, model,
-/// data and config, bitwise identically to the uninterrupted
-/// [`run_tiered`].
-///
-/// # Errors
-///
-/// Everything [`run_tiered`] and [`run_resumed`] reject, plus a
-/// snapshot whose middle-tier shape does not match the tree.
-pub fn run_tiered_resumed<M, S>(
-    strategy: &S,
-    model: &M,
-    tree: &TierTree,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    snapshot: &TrainingSnapshot,
-) -> Result<RunResult, RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    let hierarchy = tree.edge_hierarchy();
-    run_span(
-        strategy,
-        model,
-        &hierarchy,
-        worker_data,
-        test_data,
-        cfg,
-        Some(snapshot),
-        None,
-        Some(tree),
-    )
-    .map(|(result, _)| result)
-}
-
-/// Like [`run`], but stops after tick `stop_at` (which must be a positive
-/// multiple of `τ` no larger than `T`) and returns the federation state at
-/// that edge boundary alongside the partial result. Feeding the snapshot
-/// to [`run_resumed`] continues the run bitwise identically: concatenating
-/// the two partial curves (and γℓ traces) reproduces an uninterrupted
-/// [`run`] exactly.
-///
-/// # Errors
-///
-/// Everything [`run`] rejects, plus a `stop_at` that is zero, past `T`, or
-/// not on an edge-aggregation boundary ([`RunError::BadConfig`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_until<M, S>(
+pub fn run_span<M, S>(
     strategy: &S,
     model: &M,
     hierarchy: &Hierarchy,
     worker_data: &[Dataset],
     test_data: &Dataset,
     cfg: &RunConfig,
-    stop_at: usize,
-) -> Result<(RunResult, TrainingSnapshot), RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    let (result, snapshot) = run_span(
-        strategy,
-        model,
-        hierarchy,
-        worker_data,
-        test_data,
-        cfg,
-        None,
-        Some(stop_at),
-        None,
-    )?;
-    Ok((
-        result,
-        snapshot.expect("run_span produces a snapshot whenever stop_at is given"),
-    ))
-}
-
-/// Continues a run from a [`TrainingSnapshot`] captured by [`run_until`],
-/// with the *same* strategy, model, data and config, through the remaining
-/// ticks `snapshot.tick + 1 ..= T`. The resumed trajectory is bitwise
-/// identical to the corresponding suffix of an uninterrupted [`run`]: the
-/// driver replays the dropout and mini-batch RNG draws of the completed
-/// prefix (without recomputing any steps), so every stream resumes at the
-/// exact position it held at the snapshot. The returned curve and traces
-/// cover only the resumed span.
-///
-/// # Errors
-///
-/// Everything [`run`] rejects, plus a snapshot whose algorithm, tick or
-/// shapes do not match this run ([`RunError::BadConfig`] /
-/// [`RunError::Data`]).
-pub fn run_resumed<M, S>(
-    strategy: &S,
-    model: &M,
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    snapshot: &TrainingSnapshot,
-) -> Result<RunResult, RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    run_span(
-        strategy,
-        model,
-        hierarchy,
-        worker_data,
-        test_data,
-        cfg,
-        Some(snapshot),
-        None,
-        None,
-    )
-    .map(|(result, _)| result)
-}
-
-/// The shared engine behind [`run`], [`run_until`], [`run_resumed`] and
-/// the elastic runner's epoch segments (`crate::elastic`): optionally
-/// starts from a mid-run snapshot (`resume`), optionally stops at an edge
-/// boundary (`stop_at`, which also makes it return the state there).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_span<M, S>(
-    strategy: &S,
-    model: &M,
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
+    tree: Option<&TierTree>,
     resume: Option<&TrainingSnapshot>,
     stop_at: Option<usize>,
-    tiers: Option<&TierTree>,
 ) -> Result<(RunResult, Option<TrainingSnapshot>), RunError>
 where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
     cfg.validate().map_err(RunError::BadConfig)?;
-    if !cfg.churn.is_empty() {
+    if tree.is_some() && !cfg.churn.is_empty() {
         return Err(RunError::BadConfig(
-            "the frozen-tree engine cannot apply a non-empty ChurnPlan; \
-             run it through crate::elastic::run_elastic"
+            "N-tier trees do not compose with a ChurnPlan yet; elastic runs \
+             are three-tier"
                 .into(),
         ));
     }
+    let frozen = cfg.churn.is_empty()
+        && worker_data.len() == hierarchy.num_workers()
+        && resume.is_none_or(|snap| snap.topology.is_none());
+    if frozen || tree.is_some() {
+        frozen_span(
+            strategy,
+            model,
+            hierarchy,
+            worker_data,
+            test_data,
+            cfg,
+            tree,
+            resume,
+            stop_at,
+        )
+    } else {
+        crate::elastic::run_epochs(
+            strategy,
+            model,
+            hierarchy,
+            worker_data,
+            test_data,
+            cfg,
+            resume,
+            stop_at,
+        )
+    }
+}
+
+/// The frozen-tree training loop behind [`run_span`], also run once per
+/// topology epoch by the elastic segments (`crate::elastic`). Expects a
+/// validated config.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn frozen_span<M, S>(
+    strategy: &S,
+    model: &M,
+    hierarchy: &Hierarchy,
+    worker_data: &[Dataset],
+    test_data: &Dataset,
+    cfg: &RunConfig,
+    tiers: Option<&TierTree>,
+    resume: Option<&TrainingSnapshot>,
+    stop_at: Option<usize>,
+) -> Result<(RunResult, Option<TrainingSnapshot>), RunError>
+where
+    M: Model + Clone + Send,
+    S: Strategy + ?Sized,
+{
     if let Some(tree) = tiers {
-        if cfg.tau != tree.tau() || cfg.pi != tree.pi_total() {
-            return Err(RunError::BadConfig(format!(
-                "config (tau = {}, pi = {}) disagrees with the tier tree \
-                 (tau = {}, pi_total = {})",
-                cfg.tau,
-                cfg.pi,
-                tree.tau(),
-                tree.pi_total()
-            )));
-        }
+        tree.check_periods(cfg.tau, cfg.pi)
+            .map_err(RunError::BadConfig)?;
+        tree.check_spans(hierarchy).map_err(RunError::Topology)?;
     }
-    if let Some(stop) = stop_at {
-        if stop == 0 || stop > cfg.total_iters || stop % cfg.tau != 0 {
-            return Err(RunError::BadConfig(format!(
-                "stop_at must be a positive multiple of tau ({}) no larger than \
-                 total_iters ({}), got {stop}",
-                cfg.tau, cfg.total_iters
-            )));
-        }
-    }
-    let start = match resume {
-        None => 0,
-        Some(snap) => {
-            if snap.algorithm != strategy.name() {
-                return Err(RunError::BadConfig(format!(
-                    "snapshot was captured by {}, cannot resume under {}",
-                    snap.algorithm,
-                    strategy.name()
-                )));
-            }
-            if snap.tick == 0 || snap.tick >= cfg.total_iters || snap.tick % cfg.tau != 0 {
-                return Err(RunError::BadConfig(format!(
-                    "snapshot tick {} is not an edge boundary (multiple of tau = {}) \
-                     strictly before total_iters = {}",
-                    snap.tick, cfg.tau, cfg.total_iters
-                )));
-            }
-            if snap.workers.len() != hierarchy.num_workers()
-                || snap.edges.len() != hierarchy.num_edges()
-            {
-                return Err(RunError::Data(format!(
-                    "snapshot holds {} workers / {} edges for a hierarchy with {} / {}",
-                    snap.workers.len(),
-                    snap.edges.len(),
-                    hierarchy.num_workers(),
-                    hierarchy.num_edges()
-                )));
-            }
-            if snap.cloud.x_plus.len() != model.params().len() {
-                return Err(RunError::Data(format!(
-                    "snapshot dimension {} does not match model dimension {}",
-                    snap.cloud.x_plus.len(),
-                    model.params().len()
-                )));
-            }
-            if let Some(stop) = stop_at {
-                if stop <= snap.tick {
-                    return Err(RunError::BadConfig(format!(
-                        "stop_at ({stop}) must be past the snapshot tick ({})",
-                        snap.tick
-                    )));
-                }
-            }
-            snap.tick
-        }
-    };
     strategy
         .check_topology(hierarchy)
         .map_err(RunError::Topology)?;
@@ -525,27 +343,7 @@ where
         state.attach_tree(tree.clone());
     }
     strategy.init(&mut state);
-    if let Some(snap) = resume {
-        if snap.middle.len() != state.middle.len()
-            || snap
-                .middle
-                .iter()
-                .zip(&state.middle)
-                .any(|(s, m)| s.len() != m.len())
-        {
-            return Err(RunError::Data(format!(
-                "snapshot holds {} middle tiers for a tree with {}",
-                snap.middle.len(),
-                state.middle.len()
-            )));
-        }
-        // All algorithm state lives in the tier vectors, so restoring
-        // them overwrites everything `init` set up.
-        state.workers = snap.workers.clone();
-        state.edges = snap.edges.clone();
-        state.cloud = snap.cloud.clone();
-        state.middle = snap.middle.clone();
-    }
+    let start = TrainingSnapshot::open_span(resume, stop_at, strategy.name(), cfg, &mut state)?;
 
     let train_probe = build_train_probe(worker_data, cfg.train_eval_cap);
     let threads = cfg.resolved_threads();
@@ -683,39 +481,12 @@ where
                 timings.edge_agg += t0.elapsed();
 
                 // Middle tiers fire bottom-up whenever the edge round count
-                // divides their synchronization period. They run serially on
-                // the main thread and draw no RNG, so adding (or removing)
-                // pass-through tiers cannot perturb any stream — the basis
-                // of the depth-collapse equivalence guarantee.
+                // divides their synchronization period, serially on the
+                // main thread and without RNG — the basis of the
+                // depth-collapse equivalence guarantee.
                 if let Some(tree) = tiers {
                     let t0 = Instant::now();
-                    for d in tree.middle_depths().rev() {
-                        // Identity tiers forward their children untouched:
-                        // they neither fire the hook nor record γ, so a
-                        // pass-through tree is bit-identical to its
-                        // collapse, traces included.
-                        if tree.levels()[d].aggregation == TierAggregation::Identity {
-                            continue;
-                        }
-                        let period = tree.sync_rounds(d);
-                        if k % period == 0 {
-                            let round = k / period;
-                            for node in 0..tree.nodes_at(d) {
-                                strategy.tier_aggregate(
-                                    TierScope::Middle {
-                                        depth: d,
-                                        node,
-                                        state: &mut state,
-                                    },
-                                    round,
-                                );
-                            }
-                            let tier = &state.middle[d - 1];
-                            let mean =
-                                tier.iter().map(|s| s.gamma_edge).sum::<f32>() / tier.len() as f32;
-                            tier_gamma[d - 1].push((round, mean));
-                        }
-                    }
+                    fire_middle_tiers(strategy, &mut state, tree, k, None, &mut tier_gamma);
                     timings.cloud_agg += t0.elapsed();
                 }
             }
@@ -795,7 +566,7 @@ fn edge_aggregations<M, S>(
             edge,
             offset,
             workers: workers.split_off(offset),
-            state: mem::replace(&mut state.edges[edge], EdgeState::placeholder()),
+            state: mem::replace(&mut state.edges[edge], TierState::placeholder()),
         });
     }
     items.reverse();

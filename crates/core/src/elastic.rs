@@ -4,10 +4,11 @@
 //! The frozen-tree invariant — every `TierPath` stable for the life of a
 //! run — relaxes here to *stable within a topology epoch*. A
 //! [`ChurnPlan`] schedules [`TopologyEvent`]s at cloud-round boundaries
-//! (ticks `r·τ·π`); [`run_elastic`] splits the run into epoch segments,
-//! executes each segment through the unchanged frozen-tree engine
-//! ([`crate::run`]'s internals, with resume + stop), and applies the
-//! boundary's events to the [`TrainingSnapshot`] between segments via
+//! (ticks `r·τ·π`); [`crate::run`] and [`crate::run_span`] split a run
+//! with a non-empty plan (or registered-but-absent workers) into epoch
+//! segments, execute each segment through the unchanged frozen-tree loop
+//! (with resume + stop), and apply the boundary's events to the
+//! [`TrainingSnapshot`] between segments via
 //! [`apply_churn_boundary`] — a pure function of `(snapshot, plan, seed)`
 //! that the event-driven runtime (`hieradmo-simrt`) calls too, so both
 //! engines evolve the identical topology and carry identical state across
@@ -16,8 +17,9 @@
 //! Consequences of the segmented design, all deterministic and gated by
 //! `tests/elastic_topology.rs`:
 //!
-//! * an **empty plan** runs one segment and is *bitwise identical* to the
-//!   frozen-tree engine — [`run_elastic`] literally delegates;
+//! * an **empty plan** runs the frozen-tree loop directly; with trailing
+//!   registered-but-absent workers it runs one segment over the present
+//!   prefix, *bitwise identical* to the direct path;
 //! * per-worker RNG streams (mini-batch order, adversary draws) are keyed
 //!   by *flat position within the epoch's tree*, so a worker that changes
 //!   parents continues on the stream of its new position — a pure
@@ -48,9 +50,9 @@ use hieradmo_topology::{ChurnPlan, Hierarchy, TopologyEvent, TopologyVersion};
 
 use crate::checkpoint::TrainingSnapshot;
 use crate::config::RunConfig;
-use crate::driver::{run_span, RunError, RunResult};
+use crate::driver::{frozen_span, RunError, RunResult};
 use crate::population::StatePool;
-use crate::state::{EdgeState, WorkerState};
+use crate::state::{TierState, WorkerState};
 use crate::strategy::{Strategy, MIDDLE_AGE_CAP};
 
 /// The initial [`TopologyVersion`] of an elastic run: the configured
@@ -109,7 +111,7 @@ pub fn remap_adversaries(plan: &AdversaryPlan, uids: &[usize]) -> AdversaryPlan 
     remapped
 }
 
-fn materialize_from_edge(edge: &EdgeState) -> WorkerState {
+fn materialize_from_edge(edge: &TierState) -> WorkerState {
     let mut w = WorkerState::new(&edge.x_plus);
     StatePool::materialize(&mut w, &edge.x_plus, &edge.y_minus);
     w
@@ -223,7 +225,7 @@ pub fn apply_churn_boundary(
         .copied()
         .zip(snapshot.workers.iter().cloned())
         .collect();
-    let mut edge_states: BTreeMap<usize, EdgeState> = version
+    let mut edge_states: BTreeMap<usize, TierState> = version
         .live_edges()
         .into_iter()
         .zip(snapshot.edges.iter().cloned())
@@ -233,7 +235,7 @@ pub fn apply_churn_boundary(
     fn reform(
         version: &mut TopologyVersion,
         states: &mut BTreeMap<usize, WorkerState>,
-        edge_states: &mut BTreeMap<usize, EdgeState>,
+        edge_states: &mut BTreeMap<usize, TierState>,
         counters: &mut TopologyCounters,
     ) -> Result<(), String> {
         let assignment = reform_assignment(version, states);
@@ -332,7 +334,6 @@ fn validate_elastic(
     worker_data: &[Dataset],
     cfg: &RunConfig,
 ) -> Result<(), RunError> {
-    cfg.validate().map_err(RunError::BadConfig)?;
     if worker_data.len() < hierarchy.num_workers() {
         return Err(RunError::Data(format!(
             "{} worker datasets cannot register an initial tree of {}",
@@ -359,9 +360,13 @@ fn validate_elastic(
     Ok(())
 }
 
-/// The shared segmented driver behind the elastic entry points.
+/// The elastic epoch segments behind [`crate::run_span`]: the frozen-tree
+/// loop once per topology epoch in `(resume.tick, stop_at]`, with each
+/// churn boundary applied to the snapshot in between. `worker_data`
+/// registers the whole uid space and `cfg.adversary` is keyed by uid;
+/// `cfg` is already validated.
 #[allow(clippy::too_many_arguments)]
-fn run_elastic_span<M, S>(
+pub(crate) fn run_epochs<M, S>(
     strategy: &S,
     model: &M,
     hierarchy: &Hierarchy,
@@ -377,27 +382,6 @@ where
 {
     validate_elastic(hierarchy, worker_data, cfg)?;
     let plan = cfg.churn.clone();
-    if plan.is_empty()
-        && resume.is_none()
-        && stop_at.is_none()
-        && worker_data.len() == hierarchy.num_workers()
-    {
-        // Gate (a): the empty plan IS the frozen-tree engine. (With
-        // registered-but-absent trailing uids the single-segment path
-        // below slices the present prefix and is equally identical.)
-        return run_span(
-            strategy,
-            model,
-            hierarchy,
-            worker_data,
-            test_data,
-            cfg,
-            None,
-            None,
-            None,
-        );
-    }
-
     let mut version = match resume {
         Some(snap) => match &snap.topology {
             Some(v) => v.clone(),
@@ -444,16 +428,16 @@ where
         let data: Vec<Dataset> = uids.iter().map(|&u| worker_data[u].clone()).collect();
         let mut seg_cfg = frozen.clone();
         seg_cfg.adversary = remap_adversaries(&cfg.adversary, &uids);
-        let (res, snap) = run_span(
+        let (res, snap) = frozen_span(
             strategy,
             model,
             &tree,
             &data,
             test_data,
             &seg_cfg,
+            None,
             cur.as_ref(),
             stop,
-            None,
         )?;
         results.push(res);
         uid_maps.push(uids);
@@ -514,129 +498,12 @@ fn stitch(results: Vec<RunResult>, uid_maps: &[Vec<usize>], registered: usize) -
     out
 }
 
-/// Runs `strategy` under the elastic topology runtime: the frozen-tree
-/// training loop ([`crate::run`]) segmented at every
-/// [`ChurnPlan`] boundary in `cfg.churn`, with workers joining, leaving,
-/// migrating, edges failing (members re-homed live) and re-forming
-/// between segments.
-///
-/// `worker_data` registers the whole uid space: the first
-/// `hierarchy.num_workers()` datasets fill the initial tree in flat
-/// order, trailing datasets belong to registered-but-absent workers that
-/// [`TopologyEvent::Join`] can bring in. `cfg.adversary` is keyed by uid.
-///
-/// An empty plan delegates to the frozen-tree engine unchanged (bitwise
-/// identity, gated by `tests/elastic_topology.rs`); any plan replays
-/// bitwise across thread counts and engines for the same `(plan, seed)`.
-///
-/// # Errors
-///
-/// Everything [`crate::run`] rejects, plus churn events that are invalid
-/// against the live topology when they apply.
-pub fn run_elastic<M, S>(
-    strategy: &S,
-    model: &M,
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-) -> Result<RunResult, RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    run_elastic_span(
-        strategy,
-        model,
-        hierarchy,
-        worker_data,
-        test_data,
-        cfg,
-        None,
-        None,
-    )
-    .map(|(res, _)| res)
-}
-
-/// Runs the elastic runtime up to tick `stop_at` (an edge boundary) and
-/// returns the state there: the elastic counterpart of
-/// [`crate::run_until`]. The snapshot carries the topology version in
-/// force at `stop_at` ([`TrainingSnapshot::topology`]); a stop exactly at
-/// a churn boundary captures the *post*-transform tree, so resuming never
-/// re-applies the boundary.
-///
-/// # Errors
-///
-/// Everything [`run_elastic`] rejects, plus a `stop_at` that is not a
-/// positive multiple of `τ` within the run.
-pub fn run_elastic_until<M, S>(
-    strategy: &S,
-    model: &M,
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    stop_at: usize,
-) -> Result<(RunResult, TrainingSnapshot), RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    run_elastic_span(
-        strategy,
-        model,
-        hierarchy,
-        worker_data,
-        test_data,
-        cfg,
-        None,
-        Some(stop_at),
-    )
-    .map(|(res, snap)| (res, snap.expect("stop_at returns a snapshot")))
-}
-
-/// Resumes an elastic run from a [`run_elastic_until`] snapshot and runs
-/// it to completion, replaying the remaining churn boundaries: the
-/// elastic counterpart of [`crate::run_resumed`]. `hierarchy` and
-/// `worker_data` are the *initial* tree and full registered data table,
-/// exactly as passed to the original run.
-///
-/// # Errors
-///
-/// Everything [`run_elastic`] rejects, plus a snapshot without a topology
-/// version when the plan is non-empty.
-pub fn run_elastic_resumed<M, S>(
-    strategy: &S,
-    model: &M,
-    hierarchy: &Hierarchy,
-    worker_data: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    snapshot: &TrainingSnapshot,
-) -> Result<RunResult, RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    run_elastic_span(
-        strategy,
-        model,
-        hierarchy,
-        worker_data,
-        test_data,
-        cfg,
-        Some(snapshot),
-        None,
-    )
-    .map(|(res, _)| res)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::testutil::small_problem;
     use crate::algorithms::HierAdMo;
-    use crate::driver::run;
+    use crate::driver::{run, run_span};
     use hieradmo_topology::ScheduledEvent;
 
     fn churn_cfg(threads: usize) -> RunConfig {
@@ -674,12 +541,14 @@ mod tests {
 
     #[test]
     fn empty_plan_is_bitwise_identical_to_the_frozen_engine() {
-        let (_, test, shards, model) = small_problem(4);
+        // A registered-but-absent trailing uid sends the empty plan through
+        // the one-segment epoch path instead of the direct frozen loop.
+        let (_, test, shards, model) = small_problem(5);
         let h = Hierarchy::balanced(2, 2);
         let cfg = churn_cfg(1);
         let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
-        let frozen = run(&algo, &model, &h, &shards, &test, &cfg).unwrap();
-        let elastic = run_elastic(&algo, &model, &h, &shards, &test, &cfg).unwrap();
+        let frozen = run(&algo, &model, &h, &shards[..4], &test, &cfg).unwrap();
+        let elastic = run(&algo, &model, &h, &shards, &test, &cfg).unwrap();
         assert_eq!(frozen.final_params, elastic.final_params);
         assert_eq!(frozen.curve, elastic.curve);
         assert_eq!(frozen.gamma_trace, elastic.gamma_trace);
@@ -693,7 +562,7 @@ mod tests {
         let mut cfg = churn_cfg(1);
         cfg.churn = churn_plan();
         let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
-        let one = run_elastic(&algo, &model, &h, &shards, &test, &cfg).unwrap();
+        let one = run(&algo, &model, &h, &shards, &test, &cfg).unwrap();
         // Join at r5, edge 1 fails at r10 (2 orphans re-homed), reform of
         // the single surviving edge at r15 (no moves possible).
         assert_eq!(one.topology.joins, 1);
@@ -705,7 +574,7 @@ mod tests {
 
         let mut cfg4 = cfg.clone();
         cfg4.threads = Some(4);
-        let four = run_elastic(&algo, &model, &h, &shards, &test, &cfg4).unwrap();
+        let four = run(&algo, &model, &h, &shards, &test, &cfg4).unwrap();
         assert_eq!(one.final_params, four.final_params);
         assert_eq!(one.curve, four.curve);
         assert_eq!(one.topology, four.topology);
@@ -718,15 +587,38 @@ mod tests {
         let mut cfg = churn_cfg(1);
         cfg.churn = churn_plan();
         let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
-        let full = run_elastic(&algo, &model, &h, &shards, &test, &cfg).unwrap();
+        let full = run(&algo, &model, &h, &shards, &test, &cfg).unwrap();
         // Tick 100 is round 10 — exactly the EdgeFail boundary, so the
         // snapshot must carry the post-failure tree (one live edge, five
         // workers) and the resume must not re-apply the event.
-        let (_, snap) = run_elastic_until(&algo, &model, &h, &shards, &test, &cfg, 100).unwrap();
+        let (_, snap) = run_span(
+            &algo,
+            &model,
+            &h,
+            &shards,
+            &test,
+            &cfg,
+            None,
+            None,
+            Some(100),
+        )
+        .unwrap();
+        let snap = snap.expect("stop_at returns a snapshot");
         let topo = snap.topology.as_ref().expect("elastic snapshot");
         assert_eq!(topo.live_edges(), vec![0]);
         assert_eq!(snap.workers.len(), 5);
-        let resumed = run_elastic_resumed(&algo, &model, &h, &shards, &test, &cfg, &snap).unwrap();
+        let (resumed, _) = run_span(
+            &algo,
+            &model,
+            &h,
+            &shards,
+            &test,
+            &cfg,
+            None,
+            Some(&snap),
+            None,
+        )
+        .unwrap();
         assert_eq!(resumed.final_params, full.final_params);
         // The resumed span re-applies only the reform boundary.
         assert_eq!(resumed.topology.reformations, 1);

@@ -16,6 +16,11 @@
 //!   persistent scoped worker pool (see [`config::RunConfig::threads`]),
 //!   fires aggregation hooks, and records a
 //!   [`hieradmo_metrics::ConvergenceCurve`] plus per-phase timings.
+//!   Four entry points cover every tick-driven run: [`run`] and
+//!   [`run_span`] (optional tier tree, resume and stop point) over a
+//!   materialized hierarchy, [`run_virtual`] and [`run_virtual_span`] over
+//!   a sampled [`WorkerPopulation`]. A non-empty [`config::RunConfig::churn`]
+//!   plan runs through the elastic epoch segments of [`elastic`].
 //! - [`algorithms`] — **HierAdMo** (Algorithm 1) with adaptive or fixed
 //!   `γℓ` (the fixed variant is the paper's HierAdMo-R), the three-tier
 //!   baselines HierFAVG and CFL, and the two-tier baselines FedAvg, FedNAG,
@@ -69,20 +74,16 @@ pub mod virtual_update;
 
 pub use checkpoint::{Checkpoint, TrainingSnapshot};
 pub use config::RunConfig;
-pub use driver::{
-    run, run_resumed, run_tiered, run_tiered_resumed, run_tiered_until, run_until, PhaseTimings,
-    RunError, RunResult,
-};
+pub use driver::{run, run_span, PhaseTimings, RunError, RunResult};
 pub use elastic::{
-    apply_churn_boundary, epoch_cuts, epoch_tree, initial_version, remap_adversaries, run_elastic,
-    run_elastic_resumed, run_elastic_until,
+    apply_churn_boundary, epoch_cuts, epoch_tree, initial_version, remap_adversaries,
 };
 pub use population::{
-    run_virtual, run_virtual_tiered, run_virtual_tiered_resumed, run_virtual_tiered_until,
-    ClientSampling, CohortSampler, ShardAssignment, StatePool, WorkerPopulation,
+    run_virtual, run_virtual_span, ClientSampling, CohortSampler, ShardAssignment, StatePool,
+    WorkerPopulation,
 };
 pub use robust::RobustAggregator;
-pub use state::{CloudState, EdgeState, EdgeView, FlState, TierState, WorkerState};
+pub use state::{EdgeView, FlState, TierState, WorkerState};
 pub use strategy::{
     default_middle_aggregate, default_middle_aggregate_stale, Strategy, Tier, TierScope,
     MIDDLE_AGE_CAP,

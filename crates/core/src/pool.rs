@@ -20,7 +20,7 @@ use hieradmo_tensor::Vector;
 use hieradmo_topology::Weights;
 
 use crate::config::RunConfig;
-use crate::state::{EdgeState, EdgeView, WorkerState};
+use crate::state::{EdgeView, TierState, WorkerState};
 use crate::strategy::Strategy;
 
 /// Everything a pool thread needs by reference: the strategy and the
@@ -74,7 +74,7 @@ pub(crate) struct EdgeItem {
     /// Flat index of the edge's first worker.
     pub offset: usize,
     pub workers: Vec<WorkerState>,
-    pub state: EdgeState,
+    pub state: TierState,
 }
 
 /// Which dataset an evaluation chunk reads.

@@ -38,7 +38,7 @@ use hieradmo_models::Model;
 use hieradmo_netsim::adversary::AdversarySampler;
 use hieradmo_netsim::stream_seed;
 use hieradmo_tensor::Vector;
-use hieradmo_topology::{Hierarchy, TierAggregation, TierTree, Weights};
+use hieradmo_topology::{Hierarchy, TierTree, Weights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -46,9 +46,9 @@ use serde::{Deserialize, Serialize};
 use crate::byzantine::corrupt_upload;
 use crate::checkpoint::TrainingSnapshot;
 use crate::config::RunConfig;
-use crate::driver::{build_train_probe, evaluate_on_replicas, run, RunError, RunResult};
+use crate::driver::{build_train_probe, evaluate_on_replicas, run_span, RunError, RunResult};
 use crate::state::{FlState, WorkerState};
-use crate::strategy::{Strategy, TierScope};
+use crate::strategy::{fire_middle_tiers, Strategy, TierScope};
 
 /// Largest population the full-participation delegation path will
 /// materialize (per-worker state and shard clones). Beyond this, ask for
@@ -420,6 +420,31 @@ impl WorkerPopulation {
             .collect()
     }
 
+    /// Checks a tier tree laid over this population: it must span the
+    /// population's edges, its leaf fanout must equal every edge's
+    /// *registered* count, and its `(τ, π)` must match the run's.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message naming the first disagreement.
+    pub fn check_tree(&self, tree: &TierTree, tau: usize, pi: usize) -> Result<(), String> {
+        if tree.num_edges() != self.num_edges() {
+            return Err(format!(
+                "tier tree spans {} edges, the population registers {}",
+                tree.num_edges(),
+                self.num_edges()
+            ));
+        }
+        let leaf = tree.levels().last().expect("trees have levels").fanout as u64;
+        if let Some(e) = (0..self.num_edges()).find(|&e| self.workers_in_edge(e) != leaf) {
+            return Err(format!(
+                "tier tree registers {leaf} workers per edge, edge {e} registers {}",
+                self.workers_in_edge(e)
+            ));
+        }
+        tree.check_periods(tau, pi)
+    }
+
     /// The materialized [`Hierarchy`] equivalent to this population — the
     /// full-participation delegation path.
     ///
@@ -667,8 +692,8 @@ pub fn materialize_edge_cohort(
 /// sampling — the tick-driven engine's cross-device mode.
 ///
 /// Under full participation ([`ClientSampling::is_full`]) this
-/// materializes the population and delegates to [`run`], reproducing the
-/// classic trajectory bitwise. Otherwise each round `k` (of
+/// materializes the population and delegates to [`crate::run`],
+/// reproducing the classic trajectory bitwise. Otherwise each round `k` (of
 /// `T / τ`): every edge samples a cohort ([`CohortSampler`]), the cohort
 /// materializes from its edge's state, runs `τ` local steps on per-round
 /// RNG streams, Byzantine members poison their uploads, and the edge
@@ -683,17 +708,16 @@ pub fn materialize_edge_cohort(
 /// to the event-driven `hieradmo_simrt::simulate_virtual` under full sync
 /// (both gated by `tests/sampling_equivalence.rs`).
 ///
-/// Restrictions of the sampled path (documented, validated): legacy
-/// `edges`/`workers_per_edge` config fields are not supported (the
-/// population defines the topology), and `adversary` plans must address
-/// workers by *global* (population) ids. Dropout composes with sampling:
+/// Restriction of the sampled path (documented, validated): `adversary`
+/// plans must address workers by *global* (population) ids. Dropout
+/// composes with sampling:
 /// each cohort worker draws a per-step mask from its own
 /// `(seed, worker, round)` stream ([`cohort_dropout_mask`]) and skips
 /// dropped steps entirely.
 ///
 /// # Errors
 ///
-/// Everything [`run`] rejects, plus the population/sampling/shard
+/// Everything [`crate::run`] rejects, plus the population/sampling/shard
 /// consistency checks above.
 pub fn run_virtual<M, S>(
     strategy: &S,
@@ -713,143 +737,39 @@ where
     .map(|(result, _)| result)
 }
 
-/// Runs `strategy` over a virtual population laid out on an
-/// arbitrary-depth [`TierTree`]: the N-tier generalization of
-/// [`run_virtual`]. Each of the tree's edges samples its per-round cohort
-/// by tier path ([`CohortSampler::for_tree`]); middle tiers fire
-/// bottom-up at their interval boundaries through
-/// [`Strategy::tier_aggregate`], between the edge and root aggregations,
-/// exactly like the full-participation [`crate::driver::run_tiered`].
+/// [`run_virtual`] with an optional N-tier tree, resume point and stop
+/// point: the one entry point behind every span of a tick-driven
+/// virtual-population run.
 ///
-/// The tree's leaf fanout must equal every edge's *registered* count (the
-/// tree describes the registered population; the engine runs its sampled
-/// sub-tree, whose leaf fanout is the cohort size). Under full
-/// participation this delegates to [`crate::driver::run_tiered`]
-/// bitwise, at every depth.
+/// - `tree` lays the population over an arbitrary-depth [`TierTree`]:
+///   each edge samples its per-round cohort by tier path
+///   ([`CohortSampler::for_tree`]) and middle tiers fire bottom-up at
+///   their interval boundaries through [`Strategy::tier_aggregate`],
+///   between the edge and root aggregations. The tree's leaf fanout must
+///   equal every edge's *registered* count (the tree describes the
+///   registered population; the engine runs its sampled sub-tree, whose
+///   leaf fanout is the cohort size).
+/// - `stop_at` stops after that tick (a positive multiple of `τ` no larger
+///   than `T`) and returns the federation state there alongside the
+///   partial result; `resume` continues from such a snapshot, bitwise
+///   identically to the uninterrupted run at any thread count. Cohort
+///   workers re-materialize from their edge at every round start, so a
+///   sampled snapshot needs no RNG replay: every per-worker stream
+///   re-derives from `(seed, worker, round)`.
+///
+/// Under full participation this materializes the population and runs
+/// [`crate::run_span`] with the same tree, resume and stop point,
+/// reproducing the classic trajectory bitwise at every depth.
 ///
 /// # Errors
 ///
 /// Everything [`run_virtual`] rejects, plus a tree whose shape or
-/// `(τ, π)` disagree with the population/config, and non-uniform cohort
-/// sizes (middle tiers need a balanced sampled sub-tree).
-pub fn run_virtual_tiered<M, S>(
-    strategy: &S,
-    model: &M,
-    population: &WorkerPopulation,
-    shards: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    tree: &TierTree,
-) -> Result<RunResult, RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    run_virtual_span(
-        strategy,
-        model,
-        population,
-        shards,
-        test_data,
-        cfg,
-        Some(tree),
-        None,
-        None,
-    )
-    .map(|(result, _)| result)
-}
-
-/// Like [`run_virtual_tiered`], but stops after tick `stop_at` (a
-/// positive multiple of `τ` no larger than `T`) and returns the
-/// federation state at that edge boundary alongside the partial result —
-/// the sampled-cohort counterpart of [`crate::driver::run_tiered_until`].
-/// Cohort workers re-materialize from their edge at every round start, so
-/// the snapshot needs no RNG replay on resume: every per-worker stream
-/// re-derives from `(seed, worker, round)`.
-///
-/// # Errors
-///
-/// Everything [`run_virtual_tiered`] rejects, plus a `stop_at` off the
-/// edge-boundary grid.
+/// `(τ, π)` disagree with the population/config, non-uniform cohort sizes
+/// under a tree (middle tiers need a balanced sampled sub-tree), an
+/// invalid `stop_at`, and a snapshot whose algorithm, tick or shapes do
+/// not match this run.
 #[allow(clippy::too_many_arguments)]
-pub fn run_virtual_tiered_until<M, S>(
-    strategy: &S,
-    model: &M,
-    population: &WorkerPopulation,
-    shards: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    tree: &TierTree,
-    stop_at: usize,
-) -> Result<(RunResult, TrainingSnapshot), RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    let (result, snapshot) = run_virtual_span(
-        strategy,
-        model,
-        population,
-        shards,
-        test_data,
-        cfg,
-        Some(tree),
-        None,
-        Some(stop_at),
-    )?;
-    Ok((
-        result,
-        snapshot.expect("run_virtual_span produces a snapshot whenever stop_at is given"),
-    ))
-}
-
-/// Continues a sampled tiered run from a snapshot captured by
-/// [`run_virtual_tiered_until`] with the same strategy, model,
-/// population, shards and config, bitwise identically to the
-/// uninterrupted [`run_virtual_tiered`] — at *any* thread count (gated by
-/// `tests/checkpoint_restore.rs`). The returned curve and traces cover
-/// only the resumed span.
-///
-/// # Errors
-///
-/// Everything [`run_virtual_tiered`] rejects, plus a snapshot whose
-/// algorithm, tick or shapes do not match this run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_virtual_tiered_resumed<M, S>(
-    strategy: &S,
-    model: &M,
-    population: &WorkerPopulation,
-    shards: &[Dataset],
-    test_data: &Dataset,
-    cfg: &RunConfig,
-    tree: &TierTree,
-    snapshot: &TrainingSnapshot,
-) -> Result<RunResult, RunError>
-where
-    M: Model + Clone + Send,
-    S: Strategy + ?Sized,
-{
-    run_virtual_span(
-        strategy,
-        model,
-        population,
-        shards,
-        test_data,
-        cfg,
-        Some(tree),
-        Some(snapshot),
-        None,
-    )
-    .map(|(result, _)| result)
-}
-
-/// The shared engine behind [`run_virtual`] and its tiered variants:
-/// optionally lays the population over a [`TierTree`] (`tiers`),
-/// optionally starts from a mid-run snapshot (`resume`), optionally stops
-/// at an edge boundary (`stop_at`, which also makes it return the state
-/// there).
-#[allow(clippy::too_many_arguments)]
-fn run_virtual_span<M, S>(
+pub fn run_virtual_span<M, S>(
     strategy: &S,
     model: &M,
     population: &WorkerPopulation,
@@ -868,8 +788,7 @@ where
     if !cfg.churn.is_empty() {
         return Err(RunError::BadConfig(
             "virtual-population runs keep a registered (frozen) tree; a \
-             non-empty ChurnPlan only composes with the materialized \
-             engines (crate::elastic::run_elastic)"
+             non-empty ChurnPlan only composes with the materialized engines"
                 .into(),
         ));
     }
@@ -888,86 +807,24 @@ where
         )));
     }
     if let Some(tree) = tiers {
-        if tree.num_edges() != population.num_edges() {
-            return Err(RunError::BadConfig(format!(
-                "tier tree spans {} edges, the population registers {}",
-                tree.num_edges(),
-                population.num_edges()
-            )));
-        }
-        let leaf = tree.levels().last().expect("trees have levels").fanout as u64;
-        if let Some(e) =
-            (0..population.num_edges()).find(|&e| population.workers_in_edge(e) != leaf)
-        {
-            return Err(RunError::BadConfig(format!(
-                "tier tree registers {leaf} workers per edge, edge {e} \
-                 registers {}",
-                population.workers_in_edge(e)
-            )));
-        }
-        if cfg.tau != tree.tau() || cfg.pi != tree.pi_total() {
-            return Err(RunError::BadConfig(format!(
-                "config (tau = {}, pi = {}) disagrees with the tier tree \
-                 (tau = {}, pi_total = {})",
-                cfg.tau,
-                cfg.pi,
-                tree.tau(),
-                tree.pi_total()
-            )));
-        }
+        population
+            .check_tree(tree, cfg.tau, cfg.pi)
+            .map_err(RunError::BadConfig)?;
     }
     if cfg.sampling.is_full() {
         let hierarchy = population.materialize_hierarchy().map_err(RunError::Data)?;
         let worker_data = population.materialize_shards(shards);
-        return match tiers {
-            None => run(strategy, model, &hierarchy, &worker_data, test_data, cfg)
-                .map(|result| (result, None)),
-            Some(tree) => match (resume, stop_at) {
-                (None, None) => {
-                    crate::driver::run_tiered(strategy, model, tree, &worker_data, test_data, cfg)
-                        .map(|result| (result, None))
-                }
-                (None, Some(stop)) => crate::driver::run_tiered_until(
-                    strategy,
-                    model,
-                    tree,
-                    &worker_data,
-                    test_data,
-                    cfg,
-                    stop,
-                )
-                .map(|(result, snap)| (result, Some(snap))),
-                (Some(snap), None) => crate::driver::run_tiered_resumed(
-                    strategy,
-                    model,
-                    tree,
-                    &worker_data,
-                    test_data,
-                    cfg,
-                    snap,
-                )
-                .map(|result| (result, None)),
-                (Some(_), Some(_)) => Err(RunError::BadConfig(
-                    "resuming and stopping in one span is not supported".into(),
-                )),
-            },
-        };
-    }
-    if cfg.edges.is_some() || cfg.workers_per_edge.is_some() {
-        return Err(RunError::BadConfig(
-            "legacy edges/workers_per_edge fields are not supported with a \
-             virtual population (the population defines the topology)"
-                .into(),
-        ));
-    }
-    if let Some(stop) = stop_at {
-        if stop == 0 || stop > cfg.total_iters || stop % cfg.tau != 0 {
-            return Err(RunError::BadConfig(format!(
-                "stop_at must be a positive multiple of tau ({}) no larger than \
-                 total_iters ({}), got {stop}",
-                cfg.tau, cfg.total_iters
-            )));
-        }
+        return run_span(
+            strategy,
+            model,
+            &hierarchy,
+            &worker_data,
+            test_data,
+            cfg,
+            tiers,
+            resume,
+            stop_at,
+        );
     }
 
     let cohort = population
@@ -984,93 +841,25 @@ where
     strategy
         .check_topology(&hierarchy)
         .map_err(RunError::Topology)?;
-    // The engine runs the *sampled* sub-tree: the registered tree with its
-    // leaf fanout swapped for the (uniform) cohort size. All non-leaf
-    // levels — and with them every middle boundary — are unchanged.
-    let cohort_tree = tiers.map(|tree| {
-        let mut levels = tree.levels().to_vec();
-        levels.last_mut().expect("trees have levels").fanout = cohort[0];
-        TierTree::new(levels).expect("cohort sub-tree of a validated tree is valid")
-    });
+    // The engine runs the *sampled* sub-tree.
+    let cohort_tree = tiers.map(|tree| tree.with_leaf_fanout(cohort[0]));
 
     let started = Instant::now();
     let shard_sizes: Vec<u64> = shards.iter().map(|d| d.len() as u64).collect();
     let edge_totals = population.edge_data_samples(&shard_sizes);
     let total_slots = hierarchy.num_workers();
     let weights = Weights::from_cohort(&hierarchy, &vec![1u64; total_slots], edge_totals);
-    let x0 = model.params();
-    let mut fl = FlState::new(hierarchy.clone(), weights, &x0);
+    let mut fl = FlState::new(hierarchy.clone(), weights, &model.params());
     fl.aggregator = cfg.aggregator;
     if let Some(tree) = &cohort_tree {
         fl.attach_tree(tree.clone());
     }
     strategy.init(&mut fl);
-
-    let start = match resume {
-        None => 0,
-        Some(snap) => {
-            if snap.algorithm != strategy.name() {
-                return Err(RunError::BadConfig(format!(
-                    "snapshot was captured by {}, cannot resume under {}",
-                    snap.algorithm,
-                    strategy.name()
-                )));
-            }
-            if snap.tick == 0 || snap.tick >= cfg.total_iters || snap.tick % cfg.tau != 0 {
-                return Err(RunError::BadConfig(format!(
-                    "snapshot tick {} is not an edge boundary (multiple of tau = {}) \
-                     strictly before total_iters = {}",
-                    snap.tick, cfg.tau, cfg.total_iters
-                )));
-            }
-            if snap.workers.len() != total_slots || snap.edges.len() != hierarchy.num_edges() {
-                return Err(RunError::Data(format!(
-                    "snapshot holds {} workers / {} edges for a sampled sub-tree \
-                     with {} / {}",
-                    snap.workers.len(),
-                    snap.edges.len(),
-                    total_slots,
-                    hierarchy.num_edges()
-                )));
-            }
-            if snap.cloud.x_plus.len() != x0.len() {
-                return Err(RunError::Data(format!(
-                    "snapshot dimension {} does not match model dimension {}",
-                    snap.cloud.x_plus.len(),
-                    x0.len()
-                )));
-            }
-            if snap.middle.len() != fl.middle.len()
-                || snap
-                    .middle
-                    .iter()
-                    .zip(&fl.middle)
-                    .any(|(s, m)| s.len() != m.len())
-            {
-                return Err(RunError::Data(format!(
-                    "snapshot holds {} middle tiers for a tree with {}",
-                    snap.middle.len(),
-                    fl.middle.len()
-                )));
-            }
-            // All trajectory state lives in the edge/cloud/middle tiers:
-            // cohort workers re-materialize from their edge at every round
-            // start, so restoring those tiers restores everything.
-            fl.workers = snap.workers.clone();
-            fl.edges = snap.edges.clone();
-            fl.cloud = snap.cloud.clone();
-            fl.middle = snap.middle.clone();
-            snap.tick / cfg.tau
-        }
-    };
-    if let (Some(stop), Some(snap)) = (stop_at, resume) {
-        if stop <= snap.tick {
-            return Err(RunError::BadConfig(format!(
-                "stop_at ({stop}) must be past the snapshot tick ({})",
-                snap.tick
-            )));
-        }
-    }
+    // All trajectory state lives in the edge/cloud/middle tiers: cohort
+    // workers re-materialize from their edge at every round start, so
+    // restoring those tiers restores everything.
+    let start =
+        TrainingSnapshot::open_span(resume, stop_at, strategy.name(), cfg, &mut fl)? / cfg.tau;
 
     let sampler = match tiers {
         Some(tree) => CohortSampler::for_tree(cfg.seed, tree),
@@ -1220,28 +1009,7 @@ where
         //    pass-through tiers cannot perturb any stream.
         if let Some(tree) = &cohort_tree {
             let t0 = Instant::now();
-            for d in tree.middle_depths().rev() {
-                if tree.levels()[d].aggregation == TierAggregation::Identity {
-                    continue;
-                }
-                let period = tree.sync_rounds(d);
-                if k % period == 0 {
-                    let round = k / period;
-                    for node in 0..tree.nodes_at(d) {
-                        strategy.tier_aggregate(
-                            TierScope::Middle {
-                                depth: d,
-                                node,
-                                state: &mut fl,
-                            },
-                            round,
-                        );
-                    }
-                    let tier = &fl.middle[d - 1];
-                    let mean = tier.iter().map(|s| s.gamma_edge).sum::<f32>() / tier.len() as f32;
-                    tier_gamma[d - 1].push((round, mean));
-                }
-            }
+            fire_middle_tiers(strategy, &mut fl, tree, k, None, &mut tier_gamma);
             timings.cloud_agg += t0.elapsed();
         }
 

@@ -2,7 +2,7 @@
 //! implements against the shared [`FlState`].
 
 use hieradmo_tensor::Vector;
-use hieradmo_topology::{Hierarchy, TierAggregation};
+use hieradmo_topology::{Hierarchy, TierAggregation, TierTree};
 
 use crate::state::{EdgeView, FlState, WorkerState};
 
@@ -246,6 +246,57 @@ pub fn default_middle_aggregate(depth: usize, node: usize, state: &mut FlState) 
     for i in workers {
         state.workers[i].y = y.clone();
         state.workers[i].x = x.clone();
+    }
+}
+
+/// Fires every middle tier of `tree` whose boundary edge round `k` hits,
+/// bottom-up, node by node in index order, and appends each firing tier's
+/// `(round, mean-over-nodes γ)` to `tier_gamma[depth - 1]`.
+///
+/// `staleness` selects the hook: `None` calls
+/// [`Strategy::tier_aggregate`] (the synchronous engines); `Some(ages)`
+/// calls [`Strategy::tier_aggregate_stale`] with each node's contiguous
+/// span of the per-edge ages (the event-driven engines, where middle
+/// tiers are co-hosted at the cloud actor). Identity tiers fire nothing
+/// and record nothing, and no tier draws RNG, so a pass-through tree is
+/// bit-identical to its collapse, traces included.
+pub fn fire_middle_tiers<S: Strategy + ?Sized>(
+    strategy: &S,
+    state: &mut FlState,
+    tree: &TierTree,
+    k: usize,
+    staleness: Option<&[usize]>,
+    tier_gamma: &mut [Vec<(usize, f32)>],
+) {
+    for depth in tree.middle_depths().rev() {
+        let period = tree.sync_rounds(depth);
+        if tree.levels()[depth].aggregation == TierAggregation::Identity
+            || !k.is_multiple_of(period)
+        {
+            continue;
+        }
+        let round = k / period;
+        let span = tree.edges_per_node(depth);
+        for node in 0..tree.nodes_at(depth) {
+            let scope = TierScope::Middle {
+                depth,
+                node,
+                state: &mut *state,
+            };
+            match staleness {
+                None => strategy.tier_aggregate(scope, round),
+                Some(ages) => {
+                    strategy.tier_aggregate_stale(
+                        scope,
+                        round,
+                        &ages[node * span..(node + 1) * span],
+                    );
+                }
+            }
+        }
+        let tier = &state.middle[depth - 1];
+        let mean = tier.iter().map(|s| s.gamma_edge).sum::<f32>() / tier.len() as f32;
+        tier_gamma[depth - 1].push((round, mean));
     }
 }
 

@@ -32,8 +32,9 @@ use std::fmt;
 
 use hieradmo_core::byzantine::{corrupt_upload, replay_upload};
 use hieradmo_core::driver::{build_train_probe, evaluate_on_replicas};
+use hieradmo_core::strategy::fire_middle_tiers;
 use hieradmo_core::{
-    EdgeState, FlState, RunConfig, RunError, Strategy, TierScope, TrainingSnapshot, WorkerState,
+    FlState, RunConfig, RunError, Strategy, TierState, TrainingSnapshot, WorkerState,
 };
 use hieradmo_data::{Batcher, Dataset};
 use hieradmo_metrics::{
@@ -45,7 +46,7 @@ use hieradmo_netsim::{
     AdversarySampler, Architecture, AttackModel, DelaySampler, FaultSampler, LinkProfile,
 };
 use hieradmo_tensor::Vector;
-use hieradmo_topology::{Hierarchy, Schedule, TierAggregation, Weights};
+use hieradmo_topology::{Hierarchy, Schedule, TierTree, Weights};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -143,9 +144,8 @@ pub struct SimResult {
     pub adversaries: Vec<ActorAdversaries>,
     /// Number of discrete events processed.
     pub events: u64,
-    /// Topology-churn tallies. All-zero on frozen-tree runs; populated by
-    /// [`crate::simulate_elastic`] when a
-    /// [`hieradmo_core::RunConfig::churn`] plan mutates the tree mid-run.
+    /// Topology-churn tallies. All-zero on frozen-tree runs; populated when
+    /// a [`hieradmo_core::RunConfig::churn`] plan mutates the tree mid-run.
     pub topology: TopologyCounters,
 }
 
@@ -250,6 +250,8 @@ struct CloudSim {
     last_round: Vec<usize>,
     age: Vec<usize>,
     timed_out: bool,
+    /// Latest finish time of any firing so far.
+    done_ms: f64,
     /// Post-hook worker slots per edge from the last firing, handed to
     /// edges whose submissions arrive late (relaxed policies; also
     /// maintained under full sync when faults are on).
@@ -281,7 +283,7 @@ pub(crate) fn quorum_count(quorum: f64, n: usize) -> usize {
 }
 
 /// One topology-epoch slice of a virtual-clock run (see
-/// [`crate::simulate_elastic`]): the engine executes ticks
+/// [`crate::elastic`]): the engine executes ticks
 /// `(start, limit]` against a frozen tree, restoring the mailbox from
 /// `resume` and fast-forwarding every training RNG stream over the prefix
 /// exactly as the core driver's resume path does. A plain
@@ -428,15 +430,7 @@ where
         // them mutates state; identity middles are free, so a pure
         // pass-through tree keeps the three-tier submission cadence (and
         // every delay stream) untouched.
-        let submit_period = match &sim.tiers {
-            Some(tree) => tree
-                .middle_depths()
-                .filter(|&d| tree.levels()[d].aggregation != TierAggregation::Identity)
-                .map(|d| tree.sync_rounds(d))
-                .min()
-                .unwrap_or(cfg.pi),
-            None => cfg.pi,
-        };
+        let submit_period = sim.tiers.as_ref().map_or(cfg.pi, TierTree::submit_rounds);
 
         let mut edge_of = vec![0usize; n];
         let mut offsets = vec![0usize; l_count];
@@ -538,6 +532,7 @@ where
             last_round: vec![cloud_rounds_done; l_count],
             age: vec![0; l_count],
             timed_out: false,
+            done_ms: 0.0,
             last_dist: vec![None; l_count],
             sampler: DelaySampler::from_stream(sim.net_seed, (n + l_count) as u64),
             busy_ms: 0.0,
@@ -1308,7 +1303,11 @@ where
         };
         let d = self.cloud.sampler.compute_ms(&sim.env.cloud_device);
         self.cloud.busy_ms += d;
-        let saved: Vec<(usize, EdgeState, Vec<WorkerState>)> = (0..l_count)
+        // One cloud actor cannot finish a later firing first: stamp this
+        // firing's evaluation no earlier than any previous one's finish.
+        let done_ms = self.cloud.done_ms.max(now + d);
+        self.cloud.done_ms = done_ms;
+        let saved: Vec<(usize, TierState, Vec<WorkerState>)> = (0..l_count)
             .filter(|l| !participants.contains(l))
             .map(|l| {
                 (
@@ -1323,41 +1322,20 @@ where
         let k = p * self.submit_period;
         // Middle tiers (co-hosted here, at the cloud actor) fire bottom-up
         // at their own interval boundaries, exactly as the tick-driven
-        // driver does between its edge and cloud phases. They draw no RNG
-        // and identity tiers touch no state, so three-tier and
-        // pass-through runs are unaffected draw for draw. Each node sees
-        // the staleness of its own subtree's edges (its contiguous span of
-        // the per-edge vector); all-zero — every FullSync round — is
-        // bitwise the synchronous hook, otherwise stale subtree edges are
-        // carried over at bounded age (`default_middle_aggregate_stale`).
+        // driver does between its edge and cloud phases. Each node sees
+        // the staleness of its own subtree's edges; all-zero — every
+        // FullSync round — is bitwise the synchronous hook, otherwise stale
+        // subtree edges are carried over at bounded age
+        // (`default_middle_aggregate_stale`).
         if let Some(tree) = &sim.tiers {
-            for td in tree.middle_depths().rev() {
-                // Identity tiers fire nothing and record nothing — a
-                // pass-through tree must match its collapse bitwise,
-                // γ traces included.
-                if tree.levels()[td].aggregation == TierAggregation::Identity {
-                    continue;
-                }
-                let period = tree.sync_rounds(td);
-                if k.is_multiple_of(period) {
-                    let round = k / period;
-                    let span = tree.edges_per_node(td);
-                    for node in 0..tree.nodes_at(td) {
-                        strategy.tier_aggregate_stale(
-                            TierScope::Middle {
-                                depth: td,
-                                node,
-                                state: &mut self.fl,
-                            },
-                            round,
-                            &staleness[node * span..(node + 1) * span],
-                        );
-                    }
-                    let tier = &self.fl.middle[td - 1];
-                    let mean = tier.iter().map(|s| s.gamma_edge).sum::<f32>() / tier.len() as f32;
-                    self.tier_gamma[td - 1].push((round, mean));
-                }
-            }
+            fire_middle_tiers(
+                strategy,
+                &mut self.fl,
+                tree,
+                k,
+                Some(&staleness),
+                &mut self.tier_gamma,
+            );
         }
         // The root fires only on its own boundary — every submission on
         // three-tier runs, every `π / submit_period`-th on N-tier runs.
@@ -1381,13 +1359,13 @@ where
                 let (test, train) = self.run_eval(&params);
                 self.evals.push(EvalRec {
                     iter: t,
-                    at_ms: now + d,
+                    at_ms: done_ms,
                     test,
                     train,
                 });
             }
         } else {
-            self.record_relaxed_eval(now + d);
+            self.record_relaxed_eval(done_ms);
         }
         for &l in &participants {
             let (dd, dup) = match sim.architecture {
@@ -1668,7 +1646,7 @@ where
         if !self.full_sync() && self.final_segment {
             // Final state after all deliveries (late arrivals may have
             // landed after the last cloud firing).
-            self.record_relaxed_eval(self.now);
+            self.record_relaxed_eval(self.now.max(self.cloud.done_ms));
         }
         self.evals.sort_by_key(|r| r.iter);
         let mut curve = ConvergenceCurve::new();
@@ -1769,11 +1747,21 @@ where
 /// virtual time drawn from `sim.env`, and aggregation fires per
 /// `sim.policy` rather than at a global barrier.
 ///
+/// As in [`hieradmo_core::run`], `worker_data` registers the whole uid
+/// space. An empty [`RunConfig::churn`] plan with one dataset per worker
+/// runs the frozen-tree engine directly; anything else runs the elastic
+/// epoch segments of [`crate::elastic`], where `cfg.adversary` and
+/// `sim.faults.permanent` are keyed by uid and `sim.env.worker_devices` is
+/// a device pool (worker `g` computes on profile `g mod pool size`).
+/// N-tier trees ([`SimConfig::tiers`]) do not compose with churn yet and
+/// are rejected.
+///
 /// # Errors
 ///
 /// Returns [`SimError`] if the config, schedule, topology, data, network
 /// environment or policy are inconsistent — the same pre-flight checks as
-/// the core driver plus the network/policy ones.
+/// the core driver plus the network/policy ones — or a churn event is
+/// invalid against the live topology when it applies.
 pub fn simulate<M, S>(
     strategy: &S,
     model: &M,
@@ -1787,12 +1775,16 @@ where
     M: Model + Clone + Send,
     S: Strategy + ?Sized,
 {
-    if !cfg.churn.is_empty() {
-        return Err(SimError::Run(RunError::BadConfig(
-            "the frozen-tree co-simulation cannot apply a non-empty ChurnPlan; \
-             run it through crate::simulate_elastic"
-                .into(),
-        )));
+    if !cfg.churn.is_empty() || worker_data.len() != hierarchy.num_workers() {
+        return crate::elastic::simulate_epochs(
+            strategy,
+            model,
+            hierarchy,
+            worker_data,
+            test_data,
+            cfg,
+            sim,
+        );
     }
     validate_sim(strategy, hierarchy, worker_data, cfg, sim)?;
     let mut engine = Engine::new(
@@ -1809,8 +1801,8 @@ where
     Ok(engine.finish().0)
 }
 
-/// The pre-flight checks shared by [`simulate`] and the per-segment engine
-/// launches of [`crate::simulate_elastic`].
+/// The pre-flight checks of every engine launch: the frozen-tree
+/// [`simulate`] and the per-segment launches of [`crate::elastic`].
 pub(crate) fn validate_sim<S>(
     strategy: &S,
     hierarchy: &Hierarchy,
@@ -1861,28 +1853,10 @@ where
     }
     sim.validate(None).map_err(SimError::Policy)?;
     if let Some(tree) = &sim.tiers {
-        if tree.tau() != cfg.tau || tree.pi_total() != cfg.pi {
-            return Err(SimError::Run(RunError::BadConfig(format!(
-                "config (tau = {}, pi = {}) disagrees with the tier tree \
-                 (tau = {}, pi_total = {})",
-                cfg.tau,
-                cfg.pi,
-                tree.tau(),
-                tree.pi_total()
-            ))));
-        }
-        if tree.num_edges() != hierarchy.num_edges()
-            || tree.num_workers() != hierarchy.num_workers()
-        {
-            return Err(SimError::Run(RunError::Topology(format!(
-                "tier tree spans {} edges / {} workers but the hierarchy \
-                 has {} / {}",
-                tree.num_edges(),
-                tree.num_workers(),
-                hierarchy.num_edges(),
-                hierarchy.num_workers()
-            ))));
-        }
+        tree.check_periods(cfg.tau, cfg.pi)
+            .map_err(|m| SimError::Run(RunError::BadConfig(m)))?;
+        tree.check_spans(hierarchy)
+            .map_err(|m| SimError::Run(RunError::Topology(m)))?;
     }
     for e in 0..hierarchy.num_edges() {
         sim.policy

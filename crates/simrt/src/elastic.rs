@@ -1,7 +1,8 @@
 //! Elastic topology over the event-driven runtime: the virtual-clock
-//! counterpart of [`hieradmo_core::elastic::run_elastic`].
+//! counterpart of [`hieradmo_core::elastic`].
 //!
-//! [`simulate_elastic`] splits the run at every [`ChurnPlan`] boundary
+//! [`crate::simulate`] with a non-empty [`ChurnPlan`] (or
+//! registered-but-absent workers) splits the run at every plan boundary
 //! into topology-epoch segments, runs each through the unchanged
 //! co-simulation engine against that epoch's frozen tree (resuming the
 //! mailbox from the previous segment's end state), and applies the
@@ -56,7 +57,7 @@ use hieradmo_topology::{ChurnPlan, Hierarchy, TopologyVersion};
 
 use hieradmo_core::Strategy;
 
-use crate::driver::{simulate, simulate_span, SimError, SimResult, Span};
+use crate::driver::{simulate_span, SimError, SimResult, Span};
 use crate::policy::SimConfig;
 
 /// Stable actor identity for cross-segment merging: workers sort before
@@ -148,24 +149,14 @@ fn segment_sim(sim: &SimConfig, uids: &[usize], clock_base_ms: f64) -> SimConfig
     seg
 }
 
-/// Runs `strategy` under the elastic topology runtime on the virtual
-/// clock: the event-driven counterpart of
-/// [`hieradmo_core::elastic::run_elastic`], composing churn with delay
-/// environments, sync policies, fault plans and adversary plans.
-///
-/// `worker_data` registers the whole uid space (initial tree first, join
-/// candidates after), `cfg.adversary` and `sim.faults.permanent` are
-/// keyed by uid, and `sim.env.worker_devices` is a device pool (worker
-/// `g` computes on profile `g mod pool size`). An empty
-/// [`RunConfig::churn`] plan with a fully-present uid space delegates to
-/// [`simulate`] unchanged. N-tier trees ([`SimConfig::tiers`]) do not
-/// compose with churn yet and are rejected.
-///
-/// # Errors
-///
-/// Everything [`simulate`] rejects, plus churn events invalid against the
-/// live topology when they apply.
-pub fn simulate_elastic<M, S>(
+/// The elastic epoch segments behind [`crate::simulate`]: the
+/// co-simulation engine once per topology epoch, with each churn boundary
+/// applied to the mailbox snapshot in between. `worker_data` registers
+/// the whole uid space (initial tree first, join candidates after),
+/// `cfg.adversary` and `sim.faults.permanent` are keyed by uid, and
+/// `sim.env.worker_devices` is a device pool (worker `g` computes on
+/// profile `g mod pool size`).
+pub(crate) fn simulate_epochs<M, S>(
     strategy: &S,
     model: &M,
     hierarchy: &Hierarchy,
@@ -179,21 +170,8 @@ where
     S: Strategy + ?Sized,
 {
     let bad = |m: String| SimError::Run(RunError::BadConfig(m));
-    cfg.validate().map_err(|m| bad(m.clone()))?;
+    cfg.validate().map_err(bad)?;
     let plan = cfg.churn.clone();
-    if plan.is_empty() && worker_data.len() == hierarchy.num_workers() {
-        let mut frozen = cfg.clone();
-        frozen.churn = ChurnPlan::none();
-        return simulate(
-            strategy,
-            model,
-            hierarchy,
-            worker_data,
-            test_data,
-            &frozen,
-            sim,
-        );
-    }
     if sim.tiers.is_some() {
         return Err(bad(
             "N-tier trees do not compose with a ChurnPlan yet; elastic \

@@ -40,7 +40,6 @@ pub mod policy;
 pub mod vpop;
 
 pub use driver::{simulate, SimError, SimResult};
-pub use elastic::simulate_elastic;
 pub use event::{ActorId, EventQueue};
 pub use policy::{SimConfig, SyncPolicy};
 pub use vpop::simulate_virtual;

@@ -10,7 +10,7 @@
 //! order, adversary draws, network delays, fault draws, dropout masks —
 //! all re-derive from `(seed, worker_id, round)`, so under
 //! [`SyncPolicy::FullSync`] the model trajectory is bitwise identical to
-//! `run_virtual`'s / `run_virtual_tiered`'s and independent of thread
+//! `run_virtual`'s / `run_virtual_span`'s and independent of thread
 //! count (gated by `tests/sampling_equivalence.rs`).
 //!
 //! Edges progress their rounds independently between cloud barriers;
@@ -62,7 +62,8 @@ use hieradmo_core::population::{
     materialize_edge_cohort, virtual_global_params, weighted_edge_average, CohortSampler,
     WorkerPopulation,
 };
-use hieradmo_core::{EdgeState, FlState, RunConfig, Strategy, TierScope, WorkerState};
+use hieradmo_core::strategy::fire_middle_tiers;
+use hieradmo_core::{FlState, RunConfig, Strategy, TierState, WorkerState};
 use hieradmo_data::{Batcher, Dataset};
 use hieradmo_metrics::{
     ActorAdversaries, ActorFaults, ActorUtilization, AdversaryCounters, ConvergenceCurve,
@@ -71,7 +72,7 @@ use hieradmo_metrics::{
 use hieradmo_models::{Evaluation, Model};
 use hieradmo_netsim::{AdversarySampler, Architecture, AttackModel, DelaySampler, FaultSampler};
 use hieradmo_tensor::Vector;
-use hieradmo_topology::{Hierarchy, TierAggregation, TierTree, Weights};
+use hieradmo_topology::{Hierarchy, TierTree, Weights};
 
 use crate::driver::{quorum_count, SimError, SimResult};
 use crate::event::{ActorId, EventQueue};
@@ -766,7 +767,7 @@ impl<'a, M: Model + Clone + Send, S: Strategy + ?Sized> VEngine<'a, M, S> {
         };
         let d = self.cloud_sampler.compute_ms(&self.sim.env.cloud_device);
         self.cloud_busy_ms += d;
-        let saved: Vec<(usize, EdgeState, Vec<WorkerState>)> = (0..l_count)
+        let saved: Vec<(usize, TierState, Vec<WorkerState>)> = (0..l_count)
             .filter(|l| !participants.contains(l))
             .map(|l| {
                 (
@@ -779,34 +780,15 @@ impl<'a, M: Model + Clone + Send, S: Strategy + ?Sized> VEngine<'a, M, S> {
         // The edge round this submission closes; `p` counts submission
         // boundaries, which fall every `submit_period` edge rounds.
         let k = p * self.submit_period;
-        if let Some(tree) = self.cohort_tree.clone() {
-            for td in tree.middle_depths().rev() {
-                // Identity tiers fire nothing and record nothing — a
-                // pass-through tree must match its collapse bitwise,
-                // γ traces included.
-                if tree.levels()[td].aggregation == TierAggregation::Identity {
-                    continue;
-                }
-                let period = tree.sync_rounds(td);
-                if k.is_multiple_of(period) {
-                    let round = k / period;
-                    let span = tree.edges_per_node(td);
-                    for node in 0..tree.nodes_at(td) {
-                        self.strategy.tier_aggregate_stale(
-                            TierScope::Middle {
-                                depth: td,
-                                node,
-                                state: &mut self.fl,
-                            },
-                            round,
-                            &staleness[node * span..(node + 1) * span],
-                        );
-                    }
-                    let tier = &self.fl.middle[td - 1];
-                    let mean = tier.iter().map(|s| s.gamma_edge).sum::<f32>() / tier.len() as f32;
-                    self.tier_gamma[td - 1].push((round, mean));
-                }
-            }
+        if let Some(tree) = &self.cohort_tree {
+            fire_middle_tiers(
+                self.strategy,
+                &mut self.fl,
+                tree,
+                k,
+                Some(&staleness),
+                &mut self.tier_gamma,
+            );
         }
         // The root fires only on its own boundary — every submission on
         // three-tier runs, every `π / submit_period`-th on N-tier runs.
@@ -1044,9 +1026,8 @@ impl<'a, M: Model + Clone + Send, S: Strategy + ?Sized> VEngine<'a, M, S> {
 }
 
 /// Runs `strategy` over a virtual population under the co-simulation: the
-/// event-driven counterpart of
-/// [`hieradmo_core::population::run_virtual`] and
-/// [`hieradmo_core::population::run_virtual_tiered`], with the same
+/// event-driven counterpart of [`hieradmo_core::run_virtual`] and
+/// [`hieradmo_core::run_virtual_span`], with the same
 /// sampled model trajectory bit for bit under [`SyncPolicy::FullSync`]
 /// (gated by `tests/sampling_equivalence.rs`) and an honest virtual-time
 /// axis on top.
@@ -1075,9 +1056,9 @@ impl<'a, M: Model + Clone + Send, S: Strategy + ?Sized> VEngine<'a, M, S> {
 /// ([`cohort_dropout_mask`]).
 ///
 /// Remaining sampled-path restrictions (validated):
-/// [`Architecture::ThreeTier`] only, a non-empty device pool, no legacy
-/// `edges`/`workers_per_edge` fields, and N-tier trees need a uniform
-/// cohort size that matches the population's registered shape.
+/// [`Architecture::ThreeTier`] only, a non-empty device pool, and N-tier
+/// trees need a uniform cohort size that matches the population's
+/// registered shape.
 ///
 /// # Errors
 ///
@@ -1099,6 +1080,13 @@ where
 {
     cfg.validate()
         .map_err(|m| SimError::Run(RunError::BadConfig(m)))?;
+    if !cfg.churn.is_empty() {
+        return Err(SimError::Run(RunError::BadConfig(
+            "virtual-population runs keep a registered (frozen) tree; a \
+             non-empty ChurnPlan only composes with the materialized engines"
+                .into(),
+        )));
+    }
     population
         .validate_shards(shards)
         .map_err(|m| SimError::Run(RunError::Data(m)))?;
@@ -1129,13 +1117,6 @@ where
             sim,
         );
     }
-    if cfg.edges.is_some() || cfg.workers_per_edge.is_some() {
-        return Err(SimError::Run(RunError::BadConfig(
-            "legacy edges/workers_per_edge fields are not supported with a \
-             virtual population (the population defines the topology)"
-                .into(),
-        )));
-    }
     if sim.architecture != Architecture::ThreeTier {
         return Err(SimError::Net(
             "client sampling requires Architecture::ThreeTier".into(),
@@ -1150,33 +1131,9 @@ where
         .validate_for_population(population.total_workers())
         .map_err(SimError::Fault)?;
     if let Some(tree) = &sim.tiers {
-        if tree.num_edges() != population.num_edges() {
-            return Err(SimError::Run(RunError::BadConfig(format!(
-                "tier tree spans {} edges, the population registers {}",
-                tree.num_edges(),
-                population.num_edges()
-            ))));
-        }
-        let leaf = tree.levels().last().expect("trees have levels").fanout as u64;
-        if let Some(e) =
-            (0..population.num_edges()).find(|&e| population.workers_in_edge(e) != leaf)
-        {
-            return Err(SimError::Run(RunError::BadConfig(format!(
-                "tier tree registers {leaf} workers per edge, edge {e} \
-                 registers {}",
-                population.workers_in_edge(e)
-            ))));
-        }
-        if cfg.tau != tree.tau() || cfg.pi != tree.pi_total() {
-            return Err(SimError::Run(RunError::BadConfig(format!(
-                "config (tau = {}, pi = {}) disagrees with the tier tree \
-                 (tau = {}, pi_total = {})",
-                cfg.tau,
-                cfg.pi,
-                tree.tau(),
-                tree.pi_total()
-            ))));
-        }
+        population
+            .check_tree(tree, cfg.tau, cfg.pi)
+            .map_err(|m| SimError::Run(RunError::BadConfig(m)))?;
     }
 
     let cohort = population
@@ -1204,14 +1161,11 @@ where
     let x0 = model.params();
     let mut fl = FlState::new(hierarchy.clone(), weights, &x0);
     fl.aggregator = cfg.aggregator;
-    // The engine runs the *sampled* sub-tree: the registered tree with its
-    // leaf fanout swapped for the (uniform) cohort size. All non-leaf
-    // levels — and with them every middle boundary — are unchanged.
-    let cohort_tree = sim.tiers.as_ref().map(|tree| {
-        let mut levels = tree.levels().to_vec();
-        levels.last_mut().expect("trees have levels").fanout = cohort[0];
-        TierTree::new(levels).expect("cohort sub-tree of a validated tree is valid")
-    });
+    // The engine runs the *sampled* sub-tree.
+    let cohort_tree = sim
+        .tiers
+        .as_ref()
+        .map(|tree| tree.with_leaf_fanout(cohort[0]));
     if let Some(tree) = &cohort_tree {
         fl.attach_tree(tree.clone());
     }
@@ -1221,15 +1175,7 @@ where
     // them mutates state; identity middles are free, so a pure
     // pass-through tree keeps the three-tier submission cadence (and
     // every delay stream) untouched.
-    let submit_period = match &sim.tiers {
-        Some(tree) => tree
-            .middle_depths()
-            .filter(|&d| tree.levels()[d].aggregation != TierAggregation::Identity)
-            .map(|d| tree.sync_rounds(d))
-            .min()
-            .unwrap_or(cfg.pi),
-        None => cfg.pi,
-    };
+    let submit_period = sim.tiers.as_ref().map_or(cfg.pi, TierTree::submit_rounds);
     let sampler = match &sim.tiers {
         Some(tree) => CohortSampler::for_tree(cfg.seed, tree),
         None => CohortSampler::new(cfg.seed),

@@ -110,6 +110,42 @@ fn async_age_policy_runs_end_to_end() {
     assert!(res.gamma_trace.len() >= 16);
 }
 
+/// Two AsyncAge root firings closer together than the jitter of the
+/// cloud's compute time must still stamp their evaluations in firing
+/// order: one cloud actor cannot finish a later firing first. This seed
+/// of the 2 × 4 federation hits exactly that pair of firings.
+#[test]
+fn async_age_eval_stamps_stay_monotone_under_cloud_compute_jitter() {
+    let seed = 27;
+    let tt = SyntheticDataset::mnist_like(20, 5, seed);
+    let hierarchy = Hierarchy::balanced(2, 4);
+    let shards = x_class_partition(&tt.train, 8, 2, seed + 2);
+    let model = zoo::logistic_regression(&tt.train, seed + 100);
+    let cfg = RunConfig {
+        tau: 5,
+        pi: 2,
+        total_iters: 40,
+        eval_every: 10,
+        batch_size: 8,
+        seed,
+        threads: Some(1),
+        ..RunConfig::default()
+    };
+    let algo = HierAdMo::adaptive(cfg.eta, cfg.gamma);
+    let sim = SimConfig::new(
+        NetworkEnv::paper_testbed(8),
+        Architecture::ThreeTier,
+        31_400,
+        seed + 7,
+        SyncPolicy::AsyncAge { max_staleness: 2 },
+    );
+    let res = simulate(&algo, &model, &hierarchy, &shards, &tt.test, &cfg, &sim)
+        .expect("simulation should complete");
+    let pts = res.timed_curve.points();
+    assert!(pts.windows(2).all(|w| w[1].seconds >= w[0].seconds));
+    assert!(res.final_params.iter().all(|v| v.is_finite()));
+}
+
 #[test]
 fn async_age_one_is_the_tightest_valid_bound() {
     let res = run_policy(SyncPolicy::AsyncAge { max_staleness: 1 });

@@ -321,6 +321,70 @@ impl TierTree {
         Hierarchy::balanced(self.num_edges(), self.levels[self.levels.len() - 1].fanout)
     }
 
+    /// Checks a run's `(τ, π)` against this tree: `tau` must equal
+    /// [`TierTree::tau`] and `pi` must equal [`TierTree::pi_total`].
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message naming both pairs when they disagree.
+    pub fn check_periods(&self, tau: usize, pi: usize) -> Result<(), String> {
+        if tau != self.tau() || pi != self.pi_total() {
+            return Err(format!(
+                "config (tau = {tau}, pi = {pi}) disagrees with the tier tree \
+                 (tau = {}, pi_total = {})",
+                self.tau(),
+                self.pi_total()
+            ));
+        }
+        Ok(())
+    }
+
+    /// Checks that this tree's edge and worker counts span `hierarchy`.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable message naming both shapes when they disagree.
+    pub fn check_spans(&self, hierarchy: &Hierarchy) -> Result<(), String> {
+        if self.num_edges() != hierarchy.num_edges()
+            || self.num_workers() != hierarchy.num_workers()
+        {
+            return Err(format!(
+                "tier tree spans {} edges / {} workers but the hierarchy has {} / {}",
+                self.num_edges(),
+                self.num_workers(),
+                hierarchy.num_edges(),
+                hierarchy.num_workers()
+            ));
+        }
+        Ok(())
+    }
+
+    /// This tree with its leaf fanout replaced by `fanout`: the sampled
+    /// sub-tree a cohort of `fanout` workers per edge trains on. Every
+    /// non-leaf level, and with it every middle boundary, is unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fanout` is zero.
+    pub fn with_leaf_fanout(&self, fanout: usize) -> TierTree {
+        let mut levels = self.levels.clone();
+        levels.last_mut().expect("trees have levels").fanout = fanout;
+        TierTree::new(levels).expect("leaf fanout must be positive")
+    }
+
+    /// Edge rounds between the boundaries at which some tier above the
+    /// edges mutates state: the smallest [`TierTree::sync_rounds`] of a
+    /// non-identity middle tier, or [`TierTree::pi_total`] when every
+    /// middle tier is a pass-through (and on depth-3 trees). Divides
+    /// `pi_total()` by construction.
+    pub fn submit_rounds(&self) -> usize {
+        self.middle_depths()
+            .filter(|&d| self.levels[d].aggregation != TierAggregation::Identity)
+            .map(|d| self.sync_rounds(d))
+            .min()
+            .unwrap_or_else(|| self.pi_total())
+    }
+
     /// Removes every pass-through middle level (interval 1, identity
     /// aggregation), multiplying its fanout into the parent relation.
     /// Training on the collapsed tree is bitwise identical to the
@@ -452,6 +516,29 @@ mod tests {
         assert_eq!(t.sync_rounds(0), 4);
         assert_eq!(t.edges_per_node(1), 3);
         assert_eq!(t.edges_per_node(0), 6);
+    }
+
+    #[test]
+    fn run_shape_checks_and_derived_trees() {
+        let t = depth4();
+        assert!(t.check_periods(5, 4).is_ok());
+        assert!(t.check_periods(5, 2).unwrap_err().contains("pi_total = 4"));
+        assert!(t.check_spans(&t.edge_hierarchy()).is_ok());
+        assert!(t.check_spans(&Hierarchy::balanced(6, 3)).is_err());
+        let cohort = t.with_leaf_fanout(1);
+        assert_eq!(cohort.num_workers(), 6);
+        assert_eq!(cohort.pi_total(), t.pi_total());
+        // The averaging middle tier mutates state every 2 edge rounds; as a
+        // pass-through the next state change is the root's.
+        assert_eq!(t.submit_rounds(), 2);
+        let pass = TierTree::new(vec![
+            TierSpec::new(2, 2),
+            TierSpec::pass_through(3),
+            TierSpec::new(2, 5),
+        ])
+        .unwrap();
+        assert_eq!(pass.submit_rounds(), 2);
+        assert_eq!(TierTree::three_tier(2, 2, 5, 3).submit_rounds(), 3);
     }
 
     #[test]

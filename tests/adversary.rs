@@ -411,7 +411,7 @@ fn invalid_adversary_plans_are_rejected_before_the_run() {
 /// RNG draws.
 #[test]
 fn depth_4_adversary_smoke() {
-    use hieradmo::core::run_tiered;
+    use crate::common::run_on_tree;
     use hieradmo::topology::{TierPath, TierSpec, TierTree};
 
     let tree = TierTree::new(vec![
@@ -438,7 +438,7 @@ fn depth_4_adversary_smoke() {
     };
     let model = zoo::logistic_regression(&f.train, 1);
     let algo = HierAdMo::adaptive(0.01, 0.5);
-    let reference = run_tiered(&algo, &model, &tree, &f.shards, &f.test, &cfg).unwrap();
+    let reference = run_on_tree(&algo, &model, &tree, &f.shards, &f.test, &cfg).unwrap();
     for threads in [1usize, 4] {
         let cfg = RunConfig {
             threads: Some(threads),
@@ -478,7 +478,7 @@ proptest! {
     /// included.
     #[test]
     fn path_addressed_attacks_are_bitwise_on_random_trees(tree in small_tier_trees()) {
-        use hieradmo::core::run_tiered;
+        use crate::common::run_on_tree;
         use hieradmo::topology::TierPath;
 
         let f = tiered_fixture(&tree);
@@ -497,7 +497,7 @@ proptest! {
         };
         let model = zoo::logistic_regression(&f.train, 1);
         let algo = HierAdMo::adaptive(0.01, 0.5);
-        let reference = run_tiered(&algo, &model, &tree, &f.shards, &f.test, &cfg).unwrap();
+        let reference = run_on_tree(&algo, &model, &tree, &f.shards, &f.test, &cfg).unwrap();
         let sim = simulate(
             &algo,
             &model,

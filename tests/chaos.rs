@@ -512,7 +512,7 @@ fn chaos_smoke_small_fixed_plan() {
 /// faults.
 #[test]
 fn depth_4_chaos_smoke() {
-    use hieradmo::core::run_tiered;
+    use crate::common::run_on_tree;
     use hieradmo::topology::{TierPath, TierSpec, TierTree};
 
     let tree = TierTree::new(vec![
@@ -526,7 +526,7 @@ fn depth_4_chaos_smoke() {
     let algo = HierAdMo::adaptive(0.01, 0.5);
 
     // Empty plan: bitwise the tiered core driver, clock included.
-    let reference = run_tiered(&algo, &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
+    let reference = run_on_tree(&algo, &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
     for threads in [1usize, 4] {
         let cfg = RunConfig {
             threads: Some(threads),
@@ -602,12 +602,12 @@ proptest! {
     /// tiered core driver and takes zero fault draws.
     #[test]
     fn empty_plans_are_bitwise_on_random_trees(tree in small_tier_trees()) {
-        use hieradmo::core::run_tiered;
+        use crate::common::run_on_tree;
 
         let f = tiered_fixture(&tree);
         let model = zoo::logistic_regression(&f.train, 1);
         let algo = HierAdMo::adaptive(0.01, 0.5);
-        let reference = run_tiered(&algo, &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
+        let reference = run_on_tree(&algo, &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
         let sim = simulate(
             &algo,
             &model,

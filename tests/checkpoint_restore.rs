@@ -6,9 +6,7 @@ mod common;
 
 use common::sim_fixture;
 use hieradmo::core::algorithms::HierAdMo;
-use hieradmo::core::{
-    run, run_resumed, run_until, RunConfig, RunError, RunResult, TrainingSnapshot,
-};
+use hieradmo::core::{run, run_span, RunConfig, RunError, RunResult, TrainingSnapshot};
 use hieradmo::models::zoo;
 
 /// The equivalence fixture stretched to 40 ticks so the stop point (t=15,
@@ -29,8 +27,19 @@ fn check_restore_round_trip(dropout: f64, resumed_threads: Option<usize>) {
     let algo = HierAdMo::adaptive(0.05, 0.5);
 
     let full = run(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg).unwrap();
-    let (first, snap) =
-        run_until(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg, 15).unwrap();
+    let (first, snap) = run_span(
+        &algo,
+        &model,
+        &f.hierarchy,
+        &f.shards,
+        &f.test,
+        &cfg,
+        None,
+        None,
+        Some(15),
+    )
+    .unwrap();
+    let snap = snap.expect("stop_at returns a snapshot");
     assert_eq!(snap.tick, 15);
     assert_eq!(snap.algorithm, "HierAdMo");
 
@@ -41,14 +50,16 @@ fn check_restore_round_trip(dropout: f64, resumed_threads: Option<usize>) {
         threads: resumed_threads,
         ..cfg.clone()
     };
-    let resumed = run_resumed(
+    let (resumed, _) = run_span(
         &algo,
         &model,
         &f.hierarchy,
         &f.shards,
         &f.test,
         &resumed_cfg,
-        &snap,
+        None,
+        Some(&snap),
+        None,
     )
     .unwrap();
 
@@ -135,12 +146,33 @@ fn restore_replays_adversary_streams_exactly() {
     let algo = HierAdMo::adaptive(0.05, 0.5);
 
     let full = run(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg).unwrap();
-    let (first, snap) =
-        run_until(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg, 15).unwrap();
+    let h = &f.hierarchy;
+    let (first, snap) = run_span(
+        &algo,
+        &model,
+        h,
+        &f.shards,
+        &f.test,
+        &cfg,
+        None,
+        None,
+        Some(15),
+    )
+    .unwrap();
     // The adversary draws from replayable streams; nothing of it is stored.
-    let snap = TrainingSnapshot::from_json(&snap.to_json()).unwrap();
-    let resumed =
-        run_resumed(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg, &snap).unwrap();
+    let snap = TrainingSnapshot::from_json(&snap.unwrap().to_json()).unwrap();
+    let (resumed, _) = run_span(
+        &algo,
+        &model,
+        h,
+        &f.shards,
+        &f.test,
+        &cfg,
+        None,
+        Some(&snap),
+        None,
+    )
+    .unwrap();
 
     let concat: Vec<_> = first
         .curve
@@ -168,8 +200,7 @@ fn restore_replays_adversary_streams_exactly() {
 /// N-tier run — γ traces, per-tier γ traces and final model included.
 #[test]
 fn restore_at_a_middle_tier_boundary_is_bitwise_on_depth_4_trees() {
-    use common::tiered_fixture;
-    use hieradmo::core::{run_tiered, run_tiered_resumed, run_tiered_until};
+    use common::{run_on_tree, tiered_fixture};
     use hieradmo::topology::{TierSpec, TierTree};
 
     let tree = TierTree::new(vec![
@@ -188,9 +219,21 @@ fn restore_at_a_middle_tier_boundary_is_bitwise_on_depth_4_trees() {
     assert_eq!(stop % (f.cfg.tau * tree.sync_rounds(1)), 0);
     assert_ne!(stop % (f.cfg.tau * tree.pi_total()), 0);
 
-    let full = run_tiered(&algo, &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
-    let (first, snap) =
-        run_tiered_until(&algo, &model, &tree, &f.shards, &f.test, &f.cfg, stop).unwrap();
+    let h = tree.edge_hierarchy();
+    let full = run_on_tree(&algo, &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
+    let (first, snap) = run_span(
+        &algo,
+        &model,
+        &h,
+        &f.shards,
+        &f.test,
+        &f.cfg,
+        Some(&tree),
+        None,
+        Some(stop),
+    )
+    .unwrap();
+    let snap = snap.expect("stop_at returns a snapshot");
     assert_eq!(snap.tick, stop);
     assert_eq!(
         snap.middle.len(),
@@ -206,14 +249,16 @@ fn restore_at_a_middle_tier_boundary_is_bitwise_on_depth_4_trees() {
         threads: Some(4),
         ..f.cfg.clone()
     };
-    let resumed = run_tiered_resumed(
+    let (resumed, _) = run_span(
         &algo,
         &model,
-        &tree,
+        &h,
         &f.shards,
         &f.test,
         &resumed_cfg,
-        &snap,
+        Some(&tree),
+        Some(&snap),
+        None,
     )
     .unwrap();
 
@@ -255,7 +300,17 @@ fn restore_at_a_middle_tier_boundary_is_bitwise_on_depth_4_trees() {
     // rejected before any training step.
     let mut wrong = snap.clone();
     wrong.middle.clear();
-    let err = run_tiered_resumed(&algo, &model, &tree, &f.shards, &f.test, &f.cfg, &wrong);
+    let err = run_span(
+        &algo,
+        &model,
+        &h,
+        &f.shards,
+        &f.test,
+        &f.cfg,
+        Some(&tree),
+        Some(&wrong),
+        None,
+    );
     assert!(matches!(err, Err(RunError::Data(_))));
 }
 
@@ -264,7 +319,20 @@ fn file_round_trip_preserves_the_snapshot() {
     let (f, cfg) = cfg(0.0);
     let model = zoo::logistic_regression(&f.train, 1);
     let algo = HierAdMo::adaptive(0.05, 0.5);
-    let (_, snap) = run_until(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg, 20).unwrap();
+    let h = &f.hierarchy;
+    let (_, snap) = run_span(
+        &algo,
+        &model,
+        h,
+        &f.shards,
+        &f.test,
+        &cfg,
+        None,
+        None,
+        Some(20),
+    )
+    .unwrap();
+    let snap = snap.expect("stop_at returns a snapshot");
 
     let dir = std::env::temp_dir().join("hieradmo-restore-test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -280,8 +348,20 @@ fn invalid_stop_points_and_snapshots_are_rejected() {
     let (f, cfg) = cfg(0.0);
     let model = zoo::logistic_regression(&f.train, 1);
     let algo = HierAdMo::adaptive(0.05, 0.5);
+    let h = &f.hierarchy;
     let go_until = |stop: usize| -> Result<(RunResult, TrainingSnapshot), RunError> {
-        run_until(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg, stop)
+        run_span(
+            &algo,
+            &model,
+            h,
+            &f.shards,
+            &f.test,
+            &cfg,
+            None,
+            None,
+            Some(stop),
+        )
+        .map(|(r, snap)| (r, snap.expect("stop_at returns a snapshot")))
     };
 
     // Off-boundary, zero and past-the-end stop points.
@@ -293,33 +373,47 @@ fn invalid_stop_points_and_snapshots_are_rejected() {
 
     // Wrong algorithm: HierAdMo-R is a different strategy.
     let other = HierAdMo::reduced(0.05, 0.5, 0.5);
-    let err = run_resumed(
+    let err = run_span(
         &other,
         &model,
-        &f.hierarchy,
+        h,
         &f.shards,
         &f.test,
         &cfg,
-        &snap,
+        None,
+        Some(&snap),
+        None,
     );
     assert!(matches!(err, Err(RunError::BadConfig(_))));
 
     // A snapshot at (or past) the end of the run cannot be resumed.
     let (_, done) = go_until(40).unwrap();
-    let err = run_resumed(&algo, &model, &f.hierarchy, &f.shards, &f.test, &cfg, &done);
+    let err = run_span(
+        &algo,
+        &model,
+        h,
+        &f.shards,
+        &f.test,
+        &cfg,
+        None,
+        Some(&done),
+        None,
+    );
     assert!(matches!(err, Err(RunError::BadConfig(_))));
 
     // Shape mismatch: snapshot against a smaller hierarchy.
     let mut short = snap.clone();
     short.workers.truncate(2);
-    let err = run_resumed(
+    let err = run_span(
         &algo,
         &model,
-        &f.hierarchy,
+        h,
         &f.shards,
         &f.test,
         &cfg,
-        &short,
+        None,
+        Some(&short),
+        None,
     );
     assert!(matches!(err, Err(RunError::Data(_))));
 }
@@ -333,9 +427,7 @@ fn invalid_stop_points_and_snapshots_are_rejected() {
 #[test]
 fn sampled_deep_tree_restore_at_middle_boundary_is_bitwise() {
     use common::{sampled_matrix_trees, sampled_tier_fixture};
-    use hieradmo::core::population::{
-        run_virtual_tiered, run_virtual_tiered_resumed, run_virtual_tiered_until,
-    };
+    use hieradmo::core::run_virtual_span;
 
     // The depth-4 matrix tree: tau = 2, region tier syncing every 2 edge
     // rounds, root every 4. eval_every = 4 puts eval points in both
@@ -354,27 +446,32 @@ fn sampled_deep_tree_restore_at_middle_boundary_is_bitwise() {
     assert_eq!(stop % (cfg.tau * tree.sync_rounds(1)), 0);
     assert_ne!(stop % (cfg.tau * tree.pi_total()), 0);
 
-    let full = run_virtual_tiered(
+    let pop = &f.population;
+    let (full, _) = run_virtual_span(
         &algo,
         &model,
-        &f.population,
+        pop,
         &f.shards,
         &f.test,
         &cfg,
-        &tree,
+        Some(&tree),
+        None,
+        None,
     )
     .unwrap();
-    let (first, snap) = run_virtual_tiered_until(
+    let (first, snap) = run_virtual_span(
         &algo,
         &model,
-        &f.population,
+        pop,
         &f.shards,
         &f.test,
         &cfg,
-        &tree,
-        stop,
+        Some(&tree),
+        None,
+        Some(stop),
     )
     .unwrap();
+    let snap = snap.expect("stop_at returns a snapshot");
     assert_eq!(snap.tick, stop);
     assert_eq!(
         snap.middle.len(),
@@ -390,15 +487,16 @@ fn sampled_deep_tree_restore_at_middle_boundary_is_bitwise() {
         threads: Some(4),
         ..cfg.clone()
     };
-    let resumed = run_virtual_tiered_resumed(
+    let (resumed, _) = run_virtual_span(
         &algo,
         &model,
-        &f.population,
+        pop,
         &f.shards,
         &f.test,
         &resumed_cfg,
-        &tree,
-        &snap,
+        Some(&tree),
+        Some(&snap),
+        None,
     )
     .unwrap();
 
@@ -441,15 +539,92 @@ fn sampled_deep_tree_restore_at_middle_boundary_is_bitwise() {
     // A snapshot that lost its middle tier is rejected before training.
     let mut wrong = snap.clone();
     wrong.middle.clear();
-    let err = run_virtual_tiered_resumed(
+    let err = run_virtual_span(
         &algo,
         &model,
-        &f.population,
+        pop,
         &f.shards,
         &f.test,
         &cfg,
-        &tree,
-        &wrong,
+        Some(&tree),
+        Some(&wrong),
+        None,
     );
     assert!(matches!(err, Err(RunError::Data(_))));
+}
+
+/// Sampled stop/resume without a tier tree: a depth-3 virtual-population
+/// run snapshots at an edge round that is not a cloud boundary and
+/// resumes bitwise identically to the uninterrupted sampled run, at 1
+/// and 4 threads.
+#[test]
+fn sampled_depth_3_restore_without_a_tree_is_bitwise() {
+    use common::{sampled_matrix_trees, sampled_tier_fixture};
+    use hieradmo::core::run_virtual_span;
+
+    let f = sampled_tier_fixture(&sampled_matrix_trees()[0]);
+    let cfg = RunConfig {
+        eval_every: 4,
+        ..f.cfg.clone()
+    };
+    let model = zoo::logistic_regression(&f.train, 1);
+    let algo = HierAdMo::adaptive(0.05, 0.5);
+    let pop = &f.population;
+    // Tick 6 = edge round 3: the cloud fires every 2 rounds.
+    let stop = 3 * cfg.tau;
+    assert_ne!(stop % (cfg.tau * cfg.pi), 0);
+
+    let (full, _) = run_virtual_span(
+        &algo, &model, pop, &f.shards, &f.test, &cfg, None, None, None,
+    )
+    .unwrap();
+    for threads in [1, 4] {
+        let cfg = RunConfig {
+            threads: Some(threads),
+            ..cfg.clone()
+        };
+        let (first, snap) = run_virtual_span(
+            &algo,
+            &model,
+            pop,
+            &f.shards,
+            &f.test,
+            &cfg,
+            None,
+            None,
+            Some(stop),
+        )
+        .unwrap();
+        let snap = TrainingSnapshot::from_json(&snap.expect("stop_at").to_json()).unwrap();
+        assert!(snap.middle.is_empty());
+        let (resumed, _) = run_virtual_span(
+            &algo,
+            &model,
+            pop,
+            &f.shards,
+            &f.test,
+            &cfg,
+            None,
+            Some(&snap),
+            None,
+        )
+        .unwrap();
+        assert!(!first.curve.points().is_empty() && !resumed.curve.points().is_empty());
+        let concat: Vec<_> = first
+            .curve
+            .points()
+            .iter()
+            .chain(resumed.curve.points())
+            .copied()
+            .collect();
+        assert_eq!(concat, full.curve.points().to_vec(), "threads={threads}");
+        let concat_gamma: Vec<_> = first
+            .gamma_trace
+            .iter()
+            .chain(&resumed.gamma_trace)
+            .copied()
+            .collect();
+        assert_eq!(concat_gamma, full.gamma_trace, "threads={threads}");
+        assert_eq!(resumed.final_params, full.final_params, "threads={threads}");
+    }
 }

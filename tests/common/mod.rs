@@ -8,11 +8,11 @@
 #![allow(dead_code)]
 
 use hieradmo::core::population::{ClientSampling, WorkerPopulation};
-use hieradmo::core::{RunConfig, RunResult};
+use hieradmo::core::{run_span, run_virtual_span, RunConfig, RunError, RunResult, Strategy};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::{generate, SyntheticDataset, SyntheticSpec};
 use hieradmo::data::{Dataset, FeatureShape};
-use hieradmo::models::{zoo, Sequential};
+use hieradmo::models::{zoo, Model, Sequential};
 use hieradmo::netsim::{
     Architecture, CrashProfile, DelaySpikes, FaultPlan, NetworkEnv, PermanentCrash,
 };
@@ -221,7 +221,7 @@ impl GenStrategy for TierTreeStrategy {
 
 /// A training fixture sized to `tree`: non-iid shards over its workers
 /// and a [`RunConfig`] whose `(τ, π)` match the tree, running two full
-/// root rounds. Usable with `run_tiered` directly or with `simulate` via
+/// root rounds. Usable with [`run_on_tree`] directly or with `simulate` via
 /// [`tiered_sim_config`] and [`TierTree::edge_hierarchy`].
 pub fn tiered_fixture(tree: &TierTree) -> SimFixture {
     let n = tree.num_workers();
@@ -370,6 +370,53 @@ pub fn sampled_fault_plan() -> FaultPlan {
             factor: 3.0,
         }),
     }
+}
+
+/// A whole tick-driven run over `tree` (on its edge hierarchy, with no
+/// resume or stop point) through `core::run_span`.
+pub fn run_on_tree<M, S>(
+    algo: &S,
+    model: &M,
+    tree: &TierTree,
+    shards: &[Dataset],
+    test: &Dataset,
+    cfg: &RunConfig,
+) -> Result<RunResult, RunError>
+where
+    M: Model + Clone + Send,
+    S: Strategy + ?Sized,
+{
+    let h = tree.edge_hierarchy();
+    run_span(algo, model, &h, shards, test, cfg, Some(tree), None, None).map(|(r, _)| r)
+}
+
+/// A whole sampled run of `population` laid over `tree`, with no resume
+/// or stop point, through `core::run_virtual_span`.
+pub fn run_virtual_on_tree<M, S>(
+    algo: &S,
+    model: &M,
+    population: &WorkerPopulation,
+    shards: &[Dataset],
+    test: &Dataset,
+    cfg: &RunConfig,
+    tree: &TierTree,
+) -> Result<RunResult, RunError>
+where
+    M: Model + Clone + Send,
+    S: Strategy + ?Sized,
+{
+    run_virtual_span(
+        algo,
+        model,
+        population,
+        shards,
+        test,
+        cfg,
+        Some(tree),
+        None,
+        None,
+    )
+    .map(|(r, _)| r)
 }
 
 /// Asserts that a co-simulation reproduced the core driver's trajectory

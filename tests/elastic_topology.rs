@@ -3,9 +3,10 @@
 //! Four guarantees are pinned here, mirroring the depth-equivalence
 //! suite's structure for the topology-churn axis:
 //!
-//! 1. **Empty-plan identity** — `run_elastic` / `simulate_elastic` with
-//!    an empty [`ChurnPlan`] are *bitwise* the frozen-tree engines for
-//!    every algorithm in the five-algorithm lineup: same curve, final
+//! 1. **Empty-plan identity** — in both engines, the one-segment epoch
+//!    path an empty [`ChurnPlan`] takes when a registered-but-absent uid
+//!    trails the tree is *bitwise* the direct frozen-tree path for every
+//!    algorithm in the five-algorithm lineup: same curve, final
 //!    parameters, diagnostics traces and simulated clock, with all-zero
 //!    topology counters. Elasticity must cost nothing when nothing
 //!    churns.
@@ -27,16 +28,14 @@ use common::{
 };
 use hieradmo::core::algorithms::{Cfl, HierAdMo, HierFavg};
 use hieradmo::core::compression::{Compression, QuantizedHierFavg};
-use hieradmo::core::{
-    run, run_elastic, run_elastic_resumed, run_elastic_until, Strategy, TrainingSnapshot,
-};
+use hieradmo::core::{run, run_span, RunError, Strategy, TrainingSnapshot};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::netsim::{
     stream_seed, AdversaryPlan, AttackModel, CrashProfile, DelaySpikes, FaultPlan, LinkFaults,
     PermanentCrash,
 };
-use hieradmo::simrt::{simulate, simulate_elastic, SyncPolicy};
-use hieradmo::topology::{churn_stream_seed, ChurnPlan, ScheduledEvent, TopologyEvent};
+use hieradmo::simrt::{simulate, SimError, SyncPolicy};
+use hieradmo::topology::{churn_stream_seed, ChurnPlan, ScheduledEvent, TierTree, TopologyEvent};
 
 /// The five-algorithm lineup every equivalence gate runs.
 fn lineup() -> Vec<Box<dyn Strategy>> {
@@ -83,8 +82,12 @@ fn churn_plan() -> ChurnPlan {
 }
 
 #[test]
-fn empty_plan_is_bitwise_identical_to_the_frozen_engines() {
+fn empty_plan_epoch_path_is_bitwise_identical_to_the_frozen_path() {
     let fx = sim_fixture(0.0);
+    // A trailing registered-but-absent uid sends the empty plan through
+    // the one-segment epoch path instead of the direct frozen loop.
+    let mut registered = fx.shards.clone();
+    registered.push(fx.shards[0].clone());
     for strategy in lineup() {
         let model = hieradmo::models::zoo::logistic_regression(&fx.train, 3);
         let frozen = run(
@@ -96,11 +99,11 @@ fn empty_plan_is_bitwise_identical_to_the_frozen_engines() {
             &fx.cfg,
         )
         .unwrap();
-        let elastic = run_elastic(
+        let elastic = run(
             strategy.as_ref(),
             &model,
             &fx.hierarchy,
-            &fx.shards,
+            &registered,
             &fx.test,
             &fx.cfg,
         )
@@ -129,11 +132,11 @@ fn empty_plan_is_bitwise_identical_to_the_frozen_engines() {
             &sim_cfg,
         )
         .unwrap();
-        let elastic_sim = simulate_elastic(
+        let elastic_sim = simulate(
             strategy.as_ref(),
             &model,
             &fx.hierarchy,
-            &fx.shards,
+            &registered,
             &fx.test,
             &fx.cfg,
             &sim_cfg,
@@ -168,24 +171,12 @@ fn churn_replays_bitwise_across_thread_counts_and_engines() {
         &fx.shards,
         &fx.test,
         &cfg1,
-    );
-    assert!(
-        core1.is_err(),
-        "the frozen core driver must reject a non-empty churn plan"
-    );
-    let core1 = run_elastic(
-        &strategy,
-        &model,
-        &fx.hierarchy,
-        &fx.shards,
-        &fx.test,
-        &cfg1,
     )
     .unwrap();
 
     let mut cfg4 = cfg1.clone();
     cfg4.threads = Some(4);
-    let core4 = run_elastic(
+    let core4 = run(
         &strategy,
         &model,
         &fx.hierarchy,
@@ -208,20 +199,7 @@ fn churn_replays_bitwise_across_thread_counts_and_engines() {
     );
 
     let sim_cfg = sim_config(7, SyncPolicy::FullSync);
-    let frozen_sim = simulate(
-        &strategy,
-        &model,
-        &fx.hierarchy,
-        &fx.shards,
-        &fx.test,
-        &cfg1,
-        &sim_cfg,
-    );
-    assert!(
-        frozen_sim.is_err(),
-        "the frozen co-simulation must reject a non-empty churn plan"
-    );
-    let sim = simulate_elastic(
+    let sim = simulate(
         &strategy,
         &model,
         &fx.hierarchy,
@@ -260,8 +238,7 @@ fn edge_failure_with_live_reparenting_degrades_gracefully() {
         }],
         reform_every: None,
     };
-    let churned =
-        run_elastic(&strategy, &model, &fx.hierarchy, &fx.shards, &fx.test, &cfg).unwrap();
+    let churned = run(&strategy, &model, &fx.hierarchy, &fx.shards, &fx.test, &cfg).unwrap();
     assert_eq!(churned.topology.orphaned_rounds, 4);
     assert_eq!(churned.topology.migrations, 4);
 
@@ -302,7 +279,7 @@ fn churn_composes_with_faults_and_adversaries_under_every_policy() {
 
     for policy in matrix_policies() {
         let sim_cfg = sim_config(11, policy).with_faults(faults.clone());
-        let a = simulate_elastic(
+        let a = simulate(
             &strategy,
             &model,
             &fx.hierarchy,
@@ -326,7 +303,7 @@ fn churn_composes_with_faults_and_adversaries_under_every_policy() {
 
         // The same chaos cell replays bitwise: determinism survives the
         // full fault × adversary × churn composition.
-        let b = simulate_elastic(
+        let b = simulate(
             &strategy,
             &model,
             &fx.hierarchy,
@@ -350,21 +327,24 @@ fn checkpoint_resumes_across_a_topology_epoch_boundary() {
     let mut cfg = fx.cfg.clone();
     cfg.churn = plan;
 
-    let full = run_elastic(&strategy, &model, &fx.hierarchy, &fx.shards, &fx.test, &cfg).unwrap();
+    let full = run(&strategy, &model, &fx.hierarchy, &fx.shards, &fx.test, &cfg).unwrap();
 
     // Stop mid-epoch at tick 25: the Join (tick 10) and EdgeFail (tick
     // 20) epochs are behind the snapshot, the EdgeReform (tick 30) still
     // ahead of it.
-    let (_, snap) = run_elastic_until(
+    let (_, snap) = run_span(
         &strategy,
         &model,
         &fx.hierarchy,
         &fx.shards,
         &fx.test,
         &cfg,
-        25,
+        None,
+        None,
+        Some(25),
     )
     .unwrap();
+    let snap = snap.expect("stop_at returns a snapshot");
     let topo = snap.topology.as_ref().expect("elastic snapshot");
     assert_eq!(topo.live_edges(), vec![0], "edge 1 failed before the cut");
     assert_eq!(snap.workers.len(), 5, "joined worker checkpointed");
@@ -381,14 +361,16 @@ fn checkpoint_resumes_across_a_topology_epoch_boundary() {
     for threads in [1usize, 4] {
         let mut resume_cfg = cfg.clone();
         resume_cfg.threads = Some(threads);
-        let resumed = run_elastic_resumed(
+        let (resumed, _) = run_span(
             &strategy,
             &model,
             &fx.hierarchy,
             &fx.shards,
             &fx.test,
             &resume_cfg,
-            &restored,
+            None,
+            Some(&restored),
+            None,
         )
         .unwrap();
         assert_eq!(
@@ -400,6 +382,46 @@ fn checkpoint_resumes_across_a_topology_epoch_boundary() {
         assert_eq!(resumed.topology.joins, 0, "threads {threads}");
         assert_eq!(resumed.topology.orphaned_rounds, 0, "threads {threads}");
     }
+}
+
+/// N-tier trees do not compose with churn yet: both engines refuse the
+/// pair with a typed configuration error instead of dropping either.
+#[test]
+fn a_tier_tree_with_a_churn_plan_is_a_typed_error() {
+    let fx = churn_fixture();
+    let model = hieradmo::models::zoo::logistic_regression(&fx.train, 3);
+    let strategy = HierAdMo::adaptive(0.01, 0.5);
+    let mut cfg = fx.cfg.clone();
+    cfg.churn = churn_plan();
+    let tree = TierTree::three_tier(2, 2, cfg.tau, cfg.pi);
+    let err = run_span(
+        &strategy,
+        &model,
+        &fx.hierarchy,
+        &fx.shards,
+        &fx.test,
+        &cfg,
+        Some(&tree),
+        None,
+        None,
+    )
+    .unwrap_err();
+    assert!(matches!(err, RunError::BadConfig(_)), "{err:?}");
+    let sim_cfg = sim_config(7, SyncPolicy::FullSync).with_tiers(tree);
+    let err = simulate(
+        &strategy,
+        &model,
+        &fx.hierarchy,
+        &fx.shards,
+        &fx.test,
+        &cfg,
+        &sim_cfg,
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, SimError::Run(RunError::BadConfig(_))),
+        "{err:?}"
+    );
 }
 
 #[test]
@@ -432,7 +454,7 @@ fn deadline_policy_survives_a_minority_edge_failure_without_deadlock() {
     };
     for policy in matrix_policies() {
         let sim_cfg = sim_config(3, policy);
-        let out = simulate_elastic(
+        let out = simulate(
             &strategy,
             &model,
             &fx.hierarchy,

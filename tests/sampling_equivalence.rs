@@ -17,15 +17,15 @@ mod common;
 use std::collections::HashSet;
 
 use common::{
-    matrix_policies, sampled_fault_plan, sampled_matrix_trees, sampled_tier_fixture, sim_config,
-    sim_fixture, small_tier_trees,
+    matrix_policies, run_on_tree, run_virtual_on_tree, sampled_fault_plan, sampled_matrix_trees,
+    sampled_tier_fixture, sim_config, sim_fixture, small_tier_trees,
 };
 use hieradmo::core::algorithms::HierAdMo;
 use hieradmo::core::population::{
-    adversary_stream, batcher_seed, delay_stream, fault_stream, run_virtual, run_virtual_tiered,
-    run_virtual_tiered_until, worker_round_seed, ClientSampling, CohortSampler, WorkerPopulation,
+    adversary_stream, batcher_seed, delay_stream, fault_stream, run_virtual, run_virtual_span,
+    worker_round_seed, ClientSampling, CohortSampler, WorkerPopulation,
 };
-use hieradmo::core::{run, run_tiered, FlState, RobustAggregator, RunConfig, RunError, RunResult};
+use hieradmo::core::{run, FlState, RobustAggregator, RunConfig, RunError, RunResult};
 use hieradmo::data::partition::x_class_partition;
 use hieradmo::data::synthetic::SyntheticDataset;
 use hieradmo::data::Dataset;
@@ -395,7 +395,7 @@ fn sampled_paths_validate_their_restrictions() {
     };
     let core_tiered_err = |cfg: &RunConfig, tree: &TierTree| {
         let e =
-            run_virtual_tiered(&algo, &model, &population, &shards, &test, cfg, tree).unwrap_err();
+            run_virtual_on_tree(&algo, &model, &population, &shards, &test, cfg, tree).unwrap_err();
         (run_kind(&e), e.to_string())
     };
     let sim_err = |cfg: &RunConfig, sim: &SimConfig| {
@@ -481,30 +481,6 @@ fn sampled_paths_validate_their_restrictions() {
             sim_err(&cfg, &sim)
         }),
         (
-            "legacy edges/workers_per_edge fields (tick engine)",
-            "bad-config",
-            "legacy",
-            core_err(
-                &RunConfig {
-                    edges: Some(2),
-                    ..cfg.clone()
-                },
-                &population,
-            ),
-        ),
-        (
-            "legacy edges/workers_per_edge fields (event engine)",
-            "bad-config",
-            "legacy",
-            sim_err(
-                &RunConfig {
-                    edges: Some(2),
-                    ..cfg.clone()
-                },
-                &virtual_sim_config(9),
-            ),
-        ),
-        (
             "tier tree spanning the wrong edge count",
             "bad-config",
             "tier tree spans",
@@ -542,15 +518,16 @@ fn sampled_paths_validate_their_restrictions() {
             "stop_at",
             {
                 let tree = TierTree::three_tier(2, 100, 5, 2);
-                let e = run_virtual_tiered_until(
+                let e = run_virtual_span(
                     &algo,
                     &model,
                     &population,
                     &shards,
                     &test,
                     &cfg,
-                    &tree,
-                    7,
+                    Some(&tree),
+                    None,
+                    Some(7),
                 )
                 .unwrap_err();
                 (run_kind(&e), e.to_string())
@@ -651,7 +628,7 @@ fn sampled_trajectory_and_cohorts_are_pinned() {
 
     // And the tiered spellings of the same shape reproduce it bitwise.
     let d3_tree = TierTree::three_tier(2, 100, 5, 2);
-    let tiered = run_virtual_tiered(
+    let tiered = run_virtual_on_tree(
         &algo,
         &model,
         &population,
@@ -668,7 +645,7 @@ fn sampled_trajectory_and_cohorts_are_pinned() {
         TierSpec::new(100, 5),
     ])
     .unwrap();
-    let padded_run = run_virtual_tiered(
+    let padded_run = run_virtual_on_tree(
         &algo,
         &model,
         &population,
@@ -920,7 +897,7 @@ fn depth_policy_chaos_matrix() {
                     );
                 }
                 if matches!(policy, SyncPolicy::FullSync) && faults.is_empty() {
-                    let core = run_virtual_tiered(
+                    let core = run_virtual_on_tree(
                         &algo,
                         &model,
                         &f.population,
@@ -949,7 +926,7 @@ fn depth_policy_chaos_matrix() {
 
 /// Full participation at every matrix depth delegates to the seed
 /// engines bitwise: the tick-driven virtual path reproduces
-/// `run_tiered`, and the event-driven virtual path reproduces `simulate`
+/// `run_span` over the tree, and the event-driven virtual path reproduces `simulate`
 /// — trajectory, per-tier γ, event count and clock all identical.
 #[test]
 fn full_participation_sampled_runs_delegate_at_every_depth() {
@@ -964,8 +941,8 @@ fn full_participation_sampled_runs_delegate_at_every_depth() {
         let worker_shards = f.population.materialize_shards(&f.shards);
         let label = format!("depth={} full participation", tree.depth());
 
-        let reference = run_tiered(&algo, &model, &tree, &worker_shards, &f.test, &cfg).unwrap();
-        let virt = run_virtual_tiered(
+        let reference = run_on_tree(&algo, &model, &tree, &worker_shards, &f.test, &cfg).unwrap();
+        let virt = run_virtual_on_tree(
             &algo,
             &model,
             &f.population,

@@ -4,7 +4,7 @@
 //!
 //! 1. **Depth-3 identity** — running any algorithm over
 //!    `TierTree::three_tier` is *bitwise* the seed three-tier code path,
-//!    in both engines (`run` vs `run_tiered`, `simulate` with and
+//!    in both engines (`run` vs `run_span` over the tree, `simulate` with and
 //!    without an attached tree), for clean, dropout/fault and
 //!    adversarial runs. The N-tier machinery must cost nothing when the
 //!    tree is the classic shape — no extra RNG draws, no event-flow
@@ -26,12 +26,12 @@
 mod common;
 
 use common::{
-    assert_bitwise_equal, sim_config, sim_fixture, small_tier_trees, structural_tier_trees,
-    tiered_fixture, tiered_sim_config,
+    assert_bitwise_equal, run_on_tree, sim_config, sim_fixture, small_tier_trees,
+    structural_tier_trees, tiered_fixture, tiered_sim_config,
 };
 use hieradmo::core::algorithms::{Cfl, HierAdMo, HierFavg};
 use hieradmo::core::compression::{Compression, QuantizedHierFavg};
-use hieradmo::core::{default_middle_aggregate, run, run_tiered, FlState, RunConfig, RunResult};
+use hieradmo::core::{default_middle_aggregate, run, FlState, RunConfig, RunResult};
 use hieradmo::core::{RobustAggregator, Strategy};
 use hieradmo::models::zoo;
 use hieradmo::netsim::{
@@ -123,7 +123,7 @@ fn assert_sims_equal(a: &SimResult, b: &SimResult, label: &str) {
 // 1. Depth-3 identity.
 // ---------------------------------------------------------------------
 
-/// `run_tiered` over the seed-shaped tree is `run`, bitwise, for all
+/// `run_span` over the seed-shaped tree is `run`, bitwise, for all
 /// five algorithms under clean, dropout and adversarial configurations.
 #[test]
 fn depth_3_tree_matches_the_seed_core_driver() {
@@ -145,7 +145,8 @@ fn depth_3_tree_matches_the_seed_core_driver() {
         for (label, cfg) in &variants {
             let seed_path =
                 run(algo.as_ref(), &model, &f.hierarchy, &f.shards, &f.test, cfg).unwrap();
-            let tiered = run_tiered(algo.as_ref(), &model, &tree, &f.shards, &f.test, cfg).unwrap();
+            let tiered =
+                run_on_tree(algo.as_ref(), &model, &tree, &f.shards, &f.test, cfg).unwrap();
             let tag = format!("{} / {label}", algo.name());
             assert_runs_equal(&seed_path, &tiered, &tag);
             assert!(
@@ -223,7 +224,7 @@ fn depth_4_average_middles_match_across_engines() {
     let edge_rounds = f.cfg.total_iters / f.cfg.tau;
     for algo in lineup() {
         let reference =
-            run_tiered(algo.as_ref(), &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
+            run_on_tree(algo.as_ref(), &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
         assert_eq!(reference.tier_gamma.len(), 1, "one middle tier");
         assert_eq!(
             reference.tier_gamma[0].len(),
@@ -262,7 +263,7 @@ fn depth_4_adversarial_runs_match_across_engines() {
     let cfg = adversarial(&f.cfg);
     let model = zoo::logistic_regression(&f.train, 1);
     let algo = HierAdMo::adaptive(0.01, 0.5);
-    let reference = run_tiered(&algo, &model, &tree, &f.shards, &f.test, &cfg).unwrap();
+    let reference = run_on_tree(&algo, &model, &tree, &f.shards, &f.test, &cfg).unwrap();
     for threads in [1usize, 4] {
         let cfg = RunConfig {
             threads: Some(threads),
@@ -305,8 +306,10 @@ fn pass_through_middles_are_semantically_free() {
     let f = tiered_fixture(&deep);
     let model = zoo::logistic_regression(&f.train, 1);
     for algo in lineup() {
-        let on_deep = run_tiered(algo.as_ref(), &model, &deep, &f.shards, &f.test, &f.cfg).unwrap();
-        let on_flat = run_tiered(algo.as_ref(), &model, &flat, &f.shards, &f.test, &f.cfg).unwrap();
+        let on_deep =
+            run_on_tree(algo.as_ref(), &model, &deep, &f.shards, &f.test, &f.cfg).unwrap();
+        let on_flat =
+            run_on_tree(algo.as_ref(), &model, &flat, &f.shards, &f.test, &f.cfg).unwrap();
         let plain = run(
             algo.as_ref(),
             &model,
@@ -463,9 +466,9 @@ proptest! {
         let f = tiered_fixture(&tree);
         let model = zoo::logistic_regression(&f.train, 1);
         let algo = HierAdMo::adaptive(0.01, 0.5);
-        let on_tree = run_tiered(&algo, &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
+        let on_tree = run_on_tree(&algo, &model, &tree, &f.shards, &f.test, &f.cfg).unwrap();
         let on_collapse =
-            run_tiered(&algo, &model, &tree.collapse(), &f.shards, &f.test, &f.cfg).unwrap();
+            run_on_tree(&algo, &model, &tree.collapse(), &f.shards, &f.test, &f.cfg).unwrap();
         prop_assert_eq!(on_tree.curve, on_collapse.curve);
         prop_assert_eq!(on_tree.final_params, on_collapse.final_params);
         prop_assert_eq!(on_tree.gamma_trace, on_collapse.gamma_trace);
