@@ -13,7 +13,8 @@
 //! the comparison survives the originals being deleted from the library.
 //! The "new" kernels are whatever `hieradmo_tensor::kernels` currently
 //! ships, so this binary keeps measuring honest speedups as the kernel
-//! layer evolves.
+//! layer evolves. `matmul_at_acc` has no pre-kernel-layer form; its
+//! baseline is the per-sample `kernels::axpy` loop it replaced.
 //!
 //! `--smoke` runs every kernel pair once at tiny shapes, asserts all
 //! outputs are finite and within tolerance of the scalar baseline, and
@@ -198,6 +199,11 @@ struct BenchReport {
     /// (`"avx2"` or `"scalar"`) — numbers are only comparable between
     /// reports with the same dispatch level.
     dispatch: &'static str,
+    /// CPUs available to the process.
+    nproc: usize,
+    /// The commit measured, `-dirty` when tracked files differed from it
+    /// (`"unknown"` outside a checkout).
+    git_rev: String,
     kernels: Vec<KernelRow>,
     end_to_end: Option<EndToEnd>,
     peak_rss_bytes: Option<u64>,
@@ -235,6 +241,45 @@ fn bench_matmul(rows: &mut Vec<KernelRow>, reps: usize, n: usize, m: usize, k: u
     rows.push(KernelRow {
         name: "matmul_bt".into(),
         shape: format!("{n}x{k}·{k}x{m}"),
+        baseline_ns,
+        kernel_ns,
+        speedup: baseline_ns / kernel_ns,
+    });
+}
+
+/// Batched dense weight gradient `gW += Gᵀ·X` vs the per-sample `axpy`
+/// loop it replaced (one `axpy` per sample and output row, skipping zero
+/// gradients). The two are bitwise equal, so the check is exact.
+fn bench_matmul_at_acc(rows: &mut Vec<KernelRow>, reps: usize, n: usize, m: usize, k: usize) {
+    let g = seq(n * m, 0.37);
+    let x = seq(n * k, 0.011);
+    let per_sample = |gw: &mut [f32]| {
+        for (g_row, x_row) in g.chunks_exact(m).zip(x.chunks_exact(k)) {
+            for (gw_row, &gv) in gw.chunks_exact_mut(k).zip(g_row) {
+                if gv != 0.0 {
+                    kernels::axpy(gw_row, gv, x_row);
+                }
+            }
+        }
+    };
+    let mut gw_old = vec![0.0f32; m * k];
+    let mut gw_new = vec![0.0f32; m * k];
+    per_sample(&mut gw_old);
+    kernels::matmul_at_acc(&g, &x, &mut gw_new, n, m, k);
+    assert!(
+        gw_old
+            .iter()
+            .zip(&gw_new)
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "matmul_at_acc diverged from the per-sample axpy loop"
+    );
+    let baseline_ns = time_ns(reps, || per_sample(black_box(&mut gw_old)));
+    let kernel_ns = time_ns(reps, || {
+        kernels::matmul_at_acc(black_box(&g), black_box(&x), &mut gw_new, n, m, k)
+    });
+    rows.push(KernelRow {
+        name: "matmul_at_acc".into(),
+        shape: format!("{m}x{n}·{n}x{k}"),
         baseline_ns,
         kernel_ns,
         speedup: baseline_ns / kernel_ns,
@@ -478,6 +523,12 @@ fn full_kernel_shapes(rows: &mut Vec<KernelRow>, reps: usize) {
     bench_matmul(rows, reps, 256, 128, 784);
     bench_matmul(rows, reps, 32, 196, 288);
     bench_matmul(rows, reps, 128, 64, 128);
+    // The benchmark model's local step: logistic regression on 28×28
+    // input with 10 classes, forward at the silo (32) and device (8)
+    // batch sizes, and its batched weight gradient.
+    bench_matmul(rows, reps, 32, 10, 784);
+    bench_matmul(rows, reps, 8, 10, 784);
+    bench_matmul_at_acc(rows, reps, 32, 10, 784);
     // Aggregation-width vectors: logistic-MNIST (7850) and MLP (~100k).
     bench_dot(rows, reps, 7850);
     bench_dot(rows, reps, 101_770);
@@ -613,9 +664,10 @@ fn today_utc() -> String {
 
 /// Appends a dated one-line summary of this full run to
 /// `results/bench_history.jsonl`.
-fn append_history(rows: &[KernelRow], dispatch: &str) {
+fn append_history(report: &BenchReport) {
     use serde_json::{Map, Number, Value};
-    let kernels: Vec<Value> = rows
+    let kernels: Vec<Value> = report
+        .kernels
         .iter()
         .map(|r| {
             let mut k = Map::new();
@@ -628,7 +680,12 @@ fn append_history(rows: &[KernelRow], dispatch: &str) {
     let mut entry = Map::new();
     entry.insert("date".into(), Value::String(today_utc()));
     entry.insert("bench".into(), Value::String("kernel_bench".into()));
-    entry.insert("dispatch".into(), Value::String(dispatch.into()));
+    entry.insert("dispatch".into(), Value::String(report.dispatch.into()));
+    entry.insert(
+        "nproc".into(),
+        Value::Number(Number::from_u64(report.nproc as u64)),
+    );
+    entry.insert("git_rev".into(), Value::String(report.git_rev.clone()));
     entry.insert("kernels".into(), Value::Array(kernels));
     let line = serde_json::to_string(&Value::Object(entry)).expect("history entry must serialize");
     if std::fs::create_dir_all("results").is_err() {
@@ -664,6 +721,7 @@ fn main() {
     if smoke {
         // Tiny shapes: correctness + schema only, so CI stays fast.
         bench_matmul(&mut rows, reps, 9, 7, 33);
+        bench_matmul_at_acc(&mut rows, reps, 5, 3, 37);
         bench_dot(&mut rows, reps, 100);
         bench_axpy(&mut rows, reps, 100);
         bench_weighted_average(&mut rows, reps, 3, 64);
@@ -728,14 +786,16 @@ fn main() {
         mode: if smoke { "smoke" } else { "full" },
         target: std::env::consts::ARCH.to_string(),
         dispatch,
+        nproc: std::thread::available_parallelism().map_or(0, |n| n.get()),
+        git_rev: hieradmo_bench::git_rev(),
         kernels: rows,
         end_to_end: e2e,
         peak_rss_bytes: hieradmo_bench::peak_rss_bytes(),
     };
 
     println!(
-        "== kernel_bench ({}, dispatch: {}) ==",
-        report.mode, report.dispatch
+        "== kernel_bench ({}, dispatch: {}, nproc: {}, rev: {}) ==",
+        report.mode, report.dispatch, report.nproc, report.git_rev
     );
     for r in &report.kernels {
         println!(
@@ -763,6 +823,6 @@ fn main() {
     println!("wrote {out_path}");
 
     if !smoke {
-        append_history(&report.kernels, report.dispatch);
+        append_history(&report);
     }
 }

@@ -13,6 +13,32 @@ pub fn peak_rss_bytes() -> Option<u64> {
     parse_vm_hwm(&status)
 }
 
+/// The commit checked out in the working directory, with a `-dirty`
+/// suffix when tracked files differ from it, so a bench record names the
+/// code it measured. `"unknown"` when `git` or the checkout is missing.
+pub fn git_rev() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "HEAD"]) {
+        Some(rev) if !rev.is_empty() => {
+            let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+                .is_some_and(|changes| !changes.is_empty());
+            if dirty {
+                format!("{rev}-dirty")
+            } else {
+                rev
+            }
+        }
+        _ => "unknown".to_string(),
+    }
+}
+
 /// Parses the `VmHWM:    1234 kB` line out of a `/proc/<pid>/status` dump.
 fn parse_vm_hwm(status: &str) -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;

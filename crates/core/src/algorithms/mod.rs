@@ -35,7 +35,7 @@ pub use hierfavg::HierFavg;
 pub use mime::Mime;
 pub use slowmo::SlowMo;
 
-use hieradmo_tensor::Vector;
+use hieradmo_tensor::{kernels, Vector};
 
 use crate::state::WorkerState;
 use crate::strategy::Strategy;
@@ -65,10 +65,11 @@ pub(crate) fn sgd_local_step(
 /// Also maintains `v = y_t − y_{t−1}`, the velocity form of Appendix A
 /// (Eqs. 24–25).
 ///
-/// Allocation-free: buffers rotate through the worker's own state (`v`
-/// briefly holds `y_t`, then the previous `y` is overwritten in place).
-/// Every per-element float expression matches the textbook clone-based
-/// formulation, so the rewrite is bitwise-neutral.
+/// Allocation-free, and one pass over the worker's vectors
+/// ([`kernels::nag_step`]): `Σ ∇F_{i,ℓ}(x^t)` and `Σ y^t` over the edge
+/// interval accumulate *before* the update (the sums run over
+/// t = (k−1)τ … kτ−1), with every per-element float expression of the
+/// textbook clone-based formulation, so the fusion is bitwise-neutral.
 pub(crate) fn nag_local_step(
     eta: f32,
     gamma: f32,
@@ -77,23 +78,18 @@ pub(crate) fn nag_local_step(
 ) {
     let mut g = std::mem::take(&mut worker.scratch);
     grad(&worker.x, &mut g);
-    // Accumulate Σ ∇F_{i,ℓ}(x^t) and Σ y^t over the edge interval
-    // *before* updating (the sums run over t = (k−1)τ … kτ−1).
-    worker.grad_accum += &g;
-    worker.y_accum += &worker.y;
     worker.steps += 1;
-
-    // v's buffer becomes y_t = x − η·g …
-    worker.v.copy_from(&worker.x);
-    worker.v.axpy(-eta, &g);
-    // … then swaps into place so v's buffer holds y_{t−1} …
-    std::mem::swap(&mut worker.y, &mut worker.v);
-    // … which turns into the velocity v = y_t − y_{t−1} in place.
-    worker.v.sub_from(&worker.y);
-    worker.v_accum += &worker.v;
-    // x_t = y_t + γ·v.
-    worker.x.copy_from(&worker.y);
-    worker.x.axpy(gamma, &worker.v);
+    kernels::nag_step(
+        worker.x.as_mut_slice(),
+        worker.y.as_mut_slice(),
+        worker.v.as_mut_slice(),
+        worker.grad_accum.as_mut_slice(),
+        worker.y_accum.as_mut_slice(),
+        worker.v_accum.as_mut_slice(),
+        g.as_slice(),
+        eta,
+        gamma,
+    );
     worker.scratch = g;
 }
 
@@ -175,6 +171,51 @@ pub(crate) mod testutil {
 mod tests {
     use super::*;
     use crate::strategy::Tier;
+
+    /// The fused NAG pass equals the composition it replaced — `+=`,
+    /// `copy_from` + `axpy`, buffer swap, `sub_from` — bit for bit, over
+    /// several steps and with a dimension that is not a multiple of the
+    /// kernel lane width.
+    #[test]
+    fn fused_nag_step_is_bitwise_the_unfused_composition() {
+        fn unfused(eta: f32, gamma: f32, w: &mut WorkerState, g: &Vector) {
+            w.grad_accum += g;
+            w.y_accum += &w.y;
+            w.steps += 1;
+            w.v.copy_from(&w.x);
+            w.v.axpy(-eta, g);
+            std::mem::swap(&mut w.y, &mut w.v);
+            w.v.sub_from(&w.y);
+            w.v_accum += &w.v;
+            w.x.copy_from(&w.y);
+            w.x.axpy(gamma, &w.v);
+        }
+        let d = 37;
+        let x0: Vector = (0..d).map(|i| (i as f32 * 0.37).sin()).collect();
+        let (eta, gamma) = (0.05f32, 0.5f32);
+        let mut fused = WorkerState::new(&x0);
+        let mut reference = WorkerState::new(&x0);
+        for step in 0..3 {
+            let g: Vector = (0..d)
+                .map(|i| ((i + 3 * step) as f32 * 0.91).cos() * 2.0)
+                .collect();
+            let mut grad = |_: &Vector, out: &mut Vector| out.copy_from(&g);
+            nag_local_step(eta, gamma, &mut fused, &mut grad);
+            unfused(eta, gamma, &mut reference, &g);
+        }
+        let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (a, b) in [
+            (&fused.x, &reference.x),
+            (&fused.y, &reference.y),
+            (&fused.v, &reference.v),
+            (&fused.grad_accum, &reference.grad_accum),
+            (&fused.y_accum, &reference.y_accum),
+            (&fused.v_accum, &reference.v_accum),
+        ] {
+            assert_eq!(bits(a), bits(b));
+        }
+        assert_eq!(fused.steps, reference.steps);
+    }
 
     #[test]
     fn lineup_matches_table2_rows() {

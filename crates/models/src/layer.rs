@@ -3,7 +3,9 @@
 //!
 //! Layers process one sample at a time (mini-batch gradients are averaged by
 //! [`crate::Sequential`]); a forward pass returns both the output signal and
-//! a [`Cache`] holding exactly what the backward pass needs.
+//! a [`Cache`] holding exactly what the backward pass needs. Layers that map
+//! each row independently also offer a batched form over a stacked
+//! mini-batch, bitwise equal to the per-sample one (see [`FlatBatch`]).
 
 use std::cell::RefCell;
 use std::fmt;
@@ -178,23 +180,20 @@ pub trait Layer: fmt::Debug + Send {
     /// Panics if the input shape is incompatible with the layer.
     fn output_shape(&self, input: SignalShape) -> SignalShape;
 
-    /// Whether this layer participates in [`crate::Sequential`]'s batched
-    /// flat fast path, which stacks a mini-batch's activations into one
-    /// row-major matrix and runs each dense product as a single
-    /// [`kernels::matmul_bt`] call instead of per-sample `matvec`s.
-    ///
-    /// A layer may opt in only if (a) it maps flat signals to flat signals
-    /// and (b) every row of [`Layer::forward_flat_batch`]'s output is
-    /// bitwise identical to the flat [`Layer::forward`] of that row (for
-    /// non-NaN activations) — the determinism suites pin full-run bit
-    /// equality on top of this contract.
-    fn supports_flat_batch(&self) -> bool {
-        false
+    /// How this layer takes part in [`crate::Sequential`]'s batched flat
+    /// path, which stacks a mini-batch's activations into one row-major
+    /// matrix (one sample per row) and runs each dense product as a single
+    /// [`kernels::matmul_bt`] call forward and a single
+    /// [`kernels::matmul_at_acc`] call backward, instead of per-sample
+    /// `matvec`s and `axpy`s. See [`FlatBatch`] for the contract.
+    fn flat_batch(&self) -> FlatBatch {
+        FlatBatch::Unsupported
     }
 
     /// Batched flat forward: `inputs` holds one sample per row; writes one
-    /// output row per sample into `out` (pre-sized by the caller). Only
-    /// called when [`Layer::supports_flat_batch`] is `true`.
+    /// output row per sample into `out` (pre-sized by the caller, contents
+    /// unspecified). Only called when [`Layer::flat_batch`] is
+    /// [`FlatBatch::Batched`].
     ///
     /// # Panics
     ///
@@ -203,21 +202,55 @@ pub trait Layer: fmt::Debug + Send {
         panic!("layer has no batched flat forward");
     }
 
-    /// Rebuilds the per-sample forward cache from the layer's flat input
-    /// row — exactly what [`Layer::forward`] would have cached for that
-    /// sample — so the batched forward composes with the unchanged
-    /// per-sample backward. Only called when
-    /// [`Layer::supports_flat_batch`] is `true`.
+    /// Batched flat backward: `inputs` holds the rows
+    /// [`Layer::forward_flat_batch`] consumed and `grad_out` the upstream
+    /// gradient rows. Accumulates (`+=`) the parameter gradients of every
+    /// sample into `grad_params` and, when `grad_in` is given (pre-sized
+    /// like `inputs`, contents unspecified), overwrites it with the
+    /// gradient w.r.t. each input row. Callers pass `None` when nothing
+    /// below needs that gradient. Only called when [`Layer::flat_batch`]
+    /// is [`FlatBatch::Batched`].
     ///
     /// # Panics
     ///
-    /// Panics if the layer has no batched form.
-    fn flat_cache(&self, _input: &[f32]) -> Cache {
-        panic!("layer has no batched flat cache");
+    /// Panics if the layer has no batched form or the shapes mismatch.
+    fn backward_flat_batch(
+        &self,
+        _inputs: &Matrix,
+        _grad_out: &Matrix,
+        _grad_params: &mut [f32],
+        _grad_in: Option<&mut Matrix>,
+    ) {
+        panic!("layer has no batched flat backward");
     }
 
     /// Clones the layer into a box (object-safe `Clone`).
     fn clone_box(&self) -> Box<dyn Layer>;
+}
+
+/// How a layer takes part in [`crate::Sequential`]'s batched flat path
+/// ([`Layer::flat_batch`]).
+///
+/// A layer may opt in only if it maps each sample's row independently and
+/// the batched path reproduces the per-sample path bit for bit (for
+/// non-NaN activations): every output row of
+/// [`Layer::forward_flat_batch`] equals the flat [`Layer::forward`] of
+/// that row, every parameter gradient of [`Layer::backward_flat_batch`]
+/// equals [`Layer::backward`] run on each row in ascending sample order,
+/// and every input-gradient row equals the one [`Layer::backward`]
+/// returns for that row. The determinism suites pin full-run bit equality
+/// on top of this contract.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlatBatch {
+    /// Not covered: a stack holding this layer runs the per-sample loop.
+    Unsupported,
+    /// Runs [`Layer::forward_flat_batch`] and
+    /// [`Layer::backward_flat_batch`] on the stacked rows.
+    Batched,
+    /// Leaves every stacked row as it is, so the batched path skips the
+    /// layer without a copy. [`Flatten`] qualifies: image features and
+    /// activations are stored flat in CHW order, the order it flattens to.
+    Identity,
 }
 
 impl Clone for Box<dyn Layer> {
@@ -318,8 +351,8 @@ impl Layer for Dense {
         SignalShape::Flat(self.w.rows())
     }
 
-    fn supports_flat_batch(&self) -> bool {
-        true
+    fn flat_batch(&self) -> FlatBatch {
+        FlatBatch::Batched
     }
 
     fn forward_flat_batch(&self, inputs: &Matrix, out: &mut Matrix) {
@@ -349,8 +382,44 @@ impl Layer for Dense {
         }
     }
 
-    fn flat_cache(&self, input: &[f32]) -> Cache {
-        Cache::Dense(Vector::from(input.to_vec()))
+    fn backward_flat_batch(
+        &self,
+        inputs: &Matrix,
+        grad_out: &Matrix,
+        grad_params: &mut [f32],
+        grad_in: Option<&mut Matrix>,
+    ) {
+        let (n, k, m) = (inputs.rows(), inputs.cols(), self.w.rows());
+        assert_eq!(k, self.w.cols(), "dense batch input width mismatch");
+        assert_eq!(
+            (grad_out.rows(), grad_out.cols()),
+            (n, m),
+            "dense batch grad shape"
+        );
+        assert_eq!(grad_params.len(), self.param_len(), "dense grad segment");
+        let (gw, gb) = grad_params.split_at_mut(self.w.len());
+        let g = grad_out.as_slice();
+        // grad_w += Gᵀ·X: each weight takes its samples in ascending order
+        // with `backward`'s zero skip, so it matches the per-sample loop.
+        kernels::matmul_at_acc(g, inputs.as_slice(), gw, n, m, k);
+        // grad_b += g, sample by sample.
+        for g_row in g.chunks_exact(m) {
+            for (dst, &gv) in gb.iter_mut().zip(g_row) {
+                *dst += gv;
+            }
+        }
+        if let Some(gi) = grad_in {
+            assert_eq!((gi.rows(), gi.cols()), (n, k), "dense batch grad_in shape");
+            // Each row is `matvec_transposed` of its gradient row.
+            for (gi_row, g_row) in gi.as_mut_slice().chunks_exact_mut(k).zip(g.chunks_exact(m)) {
+                gi_row.fill(0.0);
+                for (w_row, &gv) in self.w.as_slice().chunks_exact(k).zip(g_row) {
+                    if gv != 0.0 {
+                        kernels::axpy(gi_row, gv, w_row);
+                    }
+                }
+            }
+        }
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -418,8 +487,8 @@ impl Layer for Relu {
         input
     }
 
-    fn supports_flat_batch(&self) -> bool {
-        true
+    fn flat_batch(&self) -> FlatBatch {
+        FlatBatch::Batched
     }
 
     fn forward_flat_batch(&self, inputs: &Matrix, out: &mut Matrix) {
@@ -434,8 +503,30 @@ impl Layer for Relu {
         }
     }
 
-    fn flat_cache(&self, input: &[f32]) -> Cache {
-        Cache::Relu(Signal::Flat(Vector::from(input.to_vec())))
+    fn backward_flat_batch(
+        &self,
+        inputs: &Matrix,
+        grad_out: &Matrix,
+        _grad_params: &mut [f32],
+        grad_in: Option<&mut Matrix>,
+    ) {
+        let Some(gi) = grad_in else { return };
+        let shape = (inputs.rows(), inputs.cols());
+        assert_eq!(
+            (grad_out.rows(), grad_out.cols()),
+            shape,
+            "relu batch shape"
+        );
+        assert_eq!((gi.rows(), gi.cols()), shape, "relu batch shape");
+        // Same mask expression as `ops::relu_backward`.
+        for ((o, &x), &g) in gi
+            .as_mut_slice()
+            .iter_mut()
+            .zip(inputs.as_slice())
+            .zip(grad_out.as_slice())
+        {
+            *o = if x > 0.0 { g } else { 0.0 };
+        }
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -737,6 +828,10 @@ impl Layer for Flatten {
             SignalShape::Image { .. } => SignalShape::Flat(input.len()),
             other => panic!("flatten expects image input, got {other:?}"),
         }
+    }
+
+    fn flat_batch(&self) -> FlatBatch {
+        FlatBatch::Identity
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {

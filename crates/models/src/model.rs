@@ -141,7 +141,7 @@ pub fn evaluate_range_serial<M: Model + ?Sized>(
     for i in range {
         let sample = data.sample(i);
         let out = model.output(&sample.features);
-        score_sample(&mut sums, &out, &sample.target);
+        score_sample(&mut sums, out.as_slice(), &sample.target);
     }
     sums
 }
@@ -150,7 +150,9 @@ pub fn evaluate_range_serial<M: Model + ?Sized>(
 /// per-sample accumulation step of serial and batched evaluation (the
 /// accumulation order over samples is what makes chunked parallel eval
 /// bitwise reproducible, so every eval path must run exactly this).
-pub fn score_sample(sums: &mut EvalSums, out: &Vector, target: &Target) {
+/// Takes the output as a slice so batched evaluation can score the rows of
+/// its stacked output in place.
+pub fn score_sample(sums: &mut EvalSums, out: &[f32], target: &Target) {
     match target {
         Target::Class(c) => {
             sums.loss_sum += f64::from(ops::cross_entropy_loss(out, *c));
@@ -159,7 +161,7 @@ pub fn score_sample(sums: &mut EvalSums, out: &Vector, target: &Target) {
             }
         }
         Target::Regression(y) => {
-            sums.loss_sum += f64::from(ops::mse_loss(out, y));
+            sums.loss_sum += f64::from(ops::mse_loss(out, y.as_slice()));
             let close = out.iter().zip(y.iter()).all(|(p, t)| (p - t).abs() < 0.5);
             if close {
                 sums.correct += 1;
@@ -200,7 +202,7 @@ mod tests {
                 let s = data.sample(i);
                 let out = self.output(&s.features);
                 let c = s.target.class().expect("toy is classification-only");
-                loss += ops::cross_entropy_loss(&out, c);
+                loss += ops::cross_entropy_loss(out.as_slice(), c);
                 let gl = ops::cross_entropy_grad(&out, c);
                 // d out0/dw = x0, d out1/dw = -x0
                 g += (gl[0] - gl[1]) * s.features[0];

@@ -1,18 +1,20 @@
 //! [`Sequential`]: a validated stack of layers plus a loss head, exposing
 //! the flat-parameter [`Model`] interface.
 
+use std::cell::RefCell;
 use std::ops::Range;
 
 use hieradmo_data::{Dataset, FeatureShape, Target};
 use hieradmo_tensor::{ops, Matrix, Tensor4, Vector};
 
-use crate::layer::{Cache, Layer, Signal, SignalShape};
+use crate::layer::{Cache, FlatBatch, Layer, Signal, SignalShape};
 use crate::model::{evaluate_range_serial, score_sample, EvalSums, Model};
 
-/// Row-tile size for batched evaluation: bounds the stacked activation
-/// matrices while matching the execution engine's eval chunk size, so a
-/// pool chunk runs as a single GEMM per dense layer.
-const EVAL_GEMM_TILE: usize = 256;
+/// Row-tile size for batched evaluation: two 4-row register tiles of
+/// `matmul_bt`. Larger tiles buy no speed, since every 4-row tile streams
+/// the weights once either way, but would grow the per-thread scratch
+/// past a small training mini-batch.
+const EVAL_GEMM_TILE: usize = 8;
 
 /// The loss applied on top of the final layer's output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,6 +61,84 @@ pub struct Sequential {
     output_dim: usize,
     param_offsets: Vec<usize>,
     dim: usize,
+    /// The batched flat path through this stack, or `None` when a layer
+    /// is [`FlatBatch::Unsupported`] and every sample runs the per-sample
+    /// loop.
+    flat: Option<FlatPlan>,
+}
+
+/// The layers the batched flat path runs, fixed at construction.
+#[derive(Debug, Clone)]
+struct FlatPlan {
+    /// Indices of the [`FlatBatch::Batched`] layers in forward order;
+    /// [`FlatBatch::Identity`] layers are left out.
+    layers: Vec<usize>,
+    /// `widths[0]` is the input row width and `widths[j + 1]` the output
+    /// row width of `layers[j]`.
+    widths: Vec<usize>,
+    /// Position in `layers` of the lowest layer with parameters. The
+    /// backward pass stops there: nothing below it needs an input
+    /// gradient. `None` when the stack has no parameters.
+    lowest_param: Option<usize>,
+}
+
+impl FlatPlan {
+    fn new(layers: &[Box<dyn Layer>], input: SignalShape) -> Option<FlatPlan> {
+        let mut plan = FlatPlan {
+            layers: Vec::new(),
+            widths: vec![input.len()],
+            lowest_param: None,
+        };
+        let mut shape = input;
+        for (li, layer) in layers.iter().enumerate() {
+            let next = layer.output_shape(shape);
+            match layer.flat_batch() {
+                FlatBatch::Unsupported => return None,
+                FlatBatch::Identity => {
+                    assert_eq!(next.len(), shape.len(), "identity layer changed the width");
+                }
+                FlatBatch::Batched => {
+                    if plan.lowest_param.is_none() && layer.param_len() > 0 {
+                        plan.lowest_param = Some(plan.layers.len());
+                    }
+                    plan.layers.push(li);
+                    plan.widths.push(next.len());
+                }
+            }
+            shape = next;
+        }
+        Some(plan)
+    }
+}
+
+/// Reusable buffers of the batched flat path.
+struct FlatScratch {
+    /// `acts[0]` holds the stacked input rows and `acts[j + 1]` the output
+    /// rows of the plan's `j`-th layer.
+    acts: Vec<Matrix>,
+    /// Upstream gradient rows of the layer being differentiated.
+    grad: Matrix,
+    /// Input-gradient rows that layer writes (then swapped into `grad`).
+    grad_in: Matrix,
+}
+
+thread_local! {
+    /// One scratch per thread rather than per model replica: engines keep
+    /// a replica per worker (64 in an 8×8 federation), while only one
+    /// replica per thread computes at a time. Every buffer is resized and
+    /// fully overwritten before it is read, so results never depend on
+    /// what an earlier call left behind.
+    static FLAT_SCRATCH: RefCell<FlatScratch> = RefCell::new(FlatScratch {
+        acts: Vec::new(),
+        grad: Matrix::zeros(0, 0),
+        grad_in: Matrix::zeros(0, 0),
+    });
+}
+
+/// Runs `f` on this thread's scratch. No layer calls back into a
+/// `Sequential`, so the scratch is never borrowed twice.
+fn with_flat_scratch<R>(f: impl FnOnce(&mut FlatScratch) -> R) -> R {
+    FLAT_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 impl Sequential {
@@ -73,7 +153,7 @@ impl Sequential {
             !layers.is_empty(),
             "sequential model needs at least one layer"
         );
-        let mut shape = match input_shape {
+        let input = match input_shape {
             FeatureShape::Flat(d) => SignalShape::Flat(d),
             FeatureShape::Image {
                 channels,
@@ -85,6 +165,7 @@ impl Sequential {
                 width,
             },
         };
+        let mut shape = input;
         for layer in &layers {
             shape = layer.output_shape(shape);
         }
@@ -98,6 +179,7 @@ impl Sequential {
             param_offsets.push(dim);
             dim += layer.param_len();
         }
+        let flat = FlatPlan::new(&layers, input);
         Sequential {
             layers,
             input_shape,
@@ -105,6 +187,7 @@ impl Sequential {
             output_dim,
             param_offsets,
             dim,
+            flat,
         }
     }
 
@@ -148,92 +231,96 @@ impl Sequential {
         (sig.expect_flat().clone(), caches)
     }
 
-    /// Head loss and gradient w.r.t. the model output.
-    fn head_loss_grad(&self, output: &Vector, target: &Target) -> (f32, Vector) {
+    /// Head loss of one output row; writes the gradient w.r.t. the output
+    /// into `grad`.
+    fn head_loss_grad(&self, output: &[f32], target: &Target, grad: &mut [f32]) -> f32 {
         match (self.head, target) {
-            (LossHead::SoftmaxCrossEntropy, Target::Class(c)) => (
-                ops::cross_entropy_loss(output, *c),
-                ops::cross_entropy_grad(output, *c),
-            ),
+            (LossHead::SoftmaxCrossEntropy, Target::Class(c)) => {
+                ops::softmax_cross_entropy(output, *c, grad)
+            }
             (LossHead::MseOneHot, Target::Class(c)) => {
                 assert!(*c < output.len(), "one-hot class out of range");
-                let mut one_hot = Vector::zeros(output.len());
+                let mut one_hot = vec![0.0; output.len()];
                 one_hot[*c] = 1.0;
-                (
-                    ops::mse_loss(output, &one_hot),
-                    ops::mse_grad(output, &one_hot),
-                )
+                mse_row(output, &one_hot, grad)
             }
-            (LossHead::Mse, Target::Regression(y)) => {
-                (ops::mse_loss(output, y), ops::mse_grad(output, y))
-            }
+            (LossHead::Mse, Target::Regression(y)) => mse_row(output, y.as_slice(), grad),
             (head, target) => {
                 panic!("loss head {head:?} is incompatible with target {target:?}")
             }
         }
     }
 
-    /// Whether the batched flat fast path covers this architecture: flat
-    /// input features and every layer opted into
-    /// [`Layer::supports_flat_batch`].
-    fn flat_batch_supported(&self) -> bool {
-        matches!(self.input_shape, FeatureShape::Flat(_))
-            && self.layers.iter().all(|l| l.supports_flat_batch())
-    }
-
-    /// Flat widths through the stack: `dims[0]` is the input width and
-    /// `dims[li + 1]` the output width of layer `li`.
-    fn flat_dims(&self) -> Vec<usize> {
-        let d0 = match self.input_shape {
-            FeatureShape::Flat(d) => d,
-            other => panic!("flat batch path needs flat input, got {other:?}"),
-        };
-        let mut dims = Vec::with_capacity(self.layers.len() + 1);
-        dims.push(d0);
-        let mut shape = SignalShape::Flat(d0);
-        for layer in &self.layers {
-            shape = layer.output_shape(shape);
-            dims.push(shape.len());
-        }
-        dims
-    }
-
-    /// Stacks `n` samples (in iteration order) into one row-major feature
-    /// matrix, one sample per row.
-    fn stack_features<I>(&self, data: &Dataset, n: usize, indices: I) -> Matrix
-    where
+    /// Batched forward of the `n` samples `rows`: stacks their features
+    /// into `acts[0]`, one sample per row in iteration order, then each
+    /// plan layer writes its output rows into the next matrix. Features
+    /// are stored flat (images in CHW order), so the rows are the samples'
+    /// feature vectors as they are. Each output row is bitwise identical to
+    /// the per-sample flat forward (the [`FlatBatch`] contract).
+    fn forward_flat_batch<I>(
+        &self,
+        plan: &FlatPlan,
+        data: &Dataset,
+        rows: I,
+        n: usize,
+        acts: &mut Vec<Matrix>,
+    ) where
         I: Iterator<Item = usize>,
     {
-        let d = match self.input_shape {
-            FeatureShape::Flat(d) => d,
-            other => panic!("flat batch path needs flat input, got {other:?}"),
-        };
-        let mut x = Matrix::zeros(n, d);
-        let xs = x.as_mut_slice();
-        for (s, i) in indices.enumerate() {
+        acts.resize_with(plan.layers.len() + 1, || Matrix::zeros(0, 0));
+        let d = plan.widths[0];
+        acts[0].reshape(n, d);
+        for (row, i) in acts[0].as_mut_slice().chunks_exact_mut(d).zip(rows) {
             let f = data.sample(i).features.as_slice();
             assert_eq!(f.len(), d, "feature length mismatch");
-            xs[s * d..(s + 1) * d].copy_from_slice(f);
+            row.copy_from_slice(f);
         }
-        x
+        for (j, &li) in plan.layers.iter().enumerate() {
+            let (done, rest) = acts.split_at_mut(j + 1);
+            rest[0].reshape(n, plan.widths[j + 1]);
+            self.layers[li].forward_flat_batch(&done[j], &mut rest[0]);
+        }
     }
 
-    /// Batched forward through the whole stack: `acts[0]` is the stacked
-    /// input and `acts[li + 1]` the output of layer `li`, one row per
-    /// sample. Each row is bitwise identical to the per-sample flat forward
-    /// (the [`Layer::forward_flat_batch`] contract).
-    fn forward_flat_batch(&self, x: Matrix) -> Vec<Matrix> {
-        let dims = self.flat_dims();
-        let n = x.rows();
-        let mut acts = Vec::with_capacity(self.layers.len() + 1);
-        acts.push(x);
-        for (li, layer) in self.layers.iter().enumerate() {
-            let mut out = Matrix::zeros(n, dims[li + 1]);
-            layer.forward_flat_batch(acts.last().expect("stack is non-empty"), &mut out);
-            acts.push(out);
+    /// Batched backward from the output-gradient rows in `scratch.grad`,
+    /// layer by layer from the top down to the lowest layer with
+    /// parameters. Layers own disjoint gradient segments and each layer
+    /// folds its samples in ascending order, so the result is bitwise the
+    /// per-sample loop's, which ran sample by sample instead.
+    fn backward_flat_batch(&self, plan: &FlatPlan, scratch: &mut FlatScratch, grad: &mut [f32]) {
+        let Some(lowest) = plan.lowest_param else {
+            return;
+        };
+        let FlatScratch {
+            acts,
+            grad: g,
+            grad_in,
+        } = scratch;
+        let n = g.rows();
+        for j in (lowest..plan.layers.len()).rev() {
+            let li = plan.layers[j];
+            let layer = &self.layers[li];
+            let start = self.param_offsets[li];
+            let seg = &mut grad[start..start + layer.param_len()];
+            if j == lowest {
+                layer.backward_flat_batch(&acts[j], g, seg, None);
+            } else {
+                grad_in.reshape(n, plan.widths[j]);
+                layer.backward_flat_batch(&acts[j], g, seg, Some(grad_in));
+                std::mem::swap(g, grad_in);
+            }
         }
-        acts
     }
+}
+
+/// Mean-squared-error head on one row: `ops::mse_loss`, with the gradient
+/// `pred − target` (`ops::mse_grad`'s expression) written into `grad`.
+fn mse_row(output: &[f32], target: &[f32], grad: &mut [f32]) -> f32 {
+    let loss = ops::mse_loss(output, target);
+    for ((g, &p), &t) in grad.iter_mut().zip(output).zip(target) {
+        *g = p - t;
+    }
+    loss
 }
 
 impl Model for Sequential {
@@ -273,37 +360,33 @@ impl Model for Sequential {
         }
         let gslice = grad.as_mut_slice();
         let mut loss_sum = 0.0f32;
-        if self.flat_batch_supported() {
-            // Batched fast path: one GEMM per dense layer over the stacked
-            // mini-batch, then the per-sample head/backward loop in the
-            // same ascending order as the serial path. Each activation row
-            // is bitwise identical to the per-sample forward, and backward
-            // caches are rebuilt from those rows, so gradient accumulation
-            // is unchanged bit for bit.
-            let x = self.stack_features(data, indices.len(), indices.iter().copied());
-            let acts = self.forward_flat_batch(x);
-            let out_mat = acts.last().expect("stack is non-empty");
+        if let Some(plan) = &self.flat {
+            // Batched fast path: one GEMM per dense layer forward over the
+            // stacked mini-batch, the head row by row in ascending sample
+            // order, then one batched backward per layer — bitwise the
+            // per-sample loop below.
+            let n = indices.len();
             let od = self.output_dim;
-            for (s, &i) in indices.iter().enumerate() {
-                let sample = data.sample(i);
-                let output = Vector::from(out_mat.as_slice()[s * od..(s + 1) * od].to_vec());
-                let (loss, g_out) = self.head_loss_grad(&output, &sample.target);
-                loss_sum += loss;
-                let mut g = Signal::Flat(g_out);
-                for (li, layer) in self.layers.iter().enumerate().rev() {
-                    let start = self.param_offsets[li];
-                    let end = start + layer.param_len();
-                    let w = acts[li].cols();
-                    let cache = layer.flat_cache(&acts[li].as_slice()[s * w..(s + 1) * w]);
-                    g = layer.backward(&cache, &g, &mut gslice[start..end]);
+            with_flat_scratch(|scratch| {
+                self.forward_flat_batch(plan, data, indices.iter().copied(), n, &mut scratch.acts);
+                let out = &scratch.acts[plan.layers.len()];
+                scratch.grad.reshape(n, od);
+                for ((&i, row), g_row) in indices
+                    .iter()
+                    .zip(out.as_slice().chunks_exact(od))
+                    .zip(scratch.grad.as_mut_slice().chunks_exact_mut(od))
+                {
+                    loss_sum += self.head_loss_grad(row, &data.sample(i).target, g_row);
                 }
-            }
+                self.backward_flat_batch(plan, scratch, gslice);
+            });
         } else {
             for &i in indices {
                 let sample = data.sample(i);
                 let (output, caches) = self.forward_with_caches(&sample.features);
-                let (loss, g_out) = self.head_loss_grad(&output, &sample.target);
-                loss_sum += loss;
+                let mut g_out = Vector::zeros(output.len());
+                loss_sum +=
+                    self.head_loss_grad(output.as_slice(), &sample.target, g_out.as_mut_slice());
                 let mut g = Signal::Flat(g_out);
                 for (li, layer) in self.layers.iter().enumerate().rev() {
                     let start = self.param_offsets[li];
@@ -327,27 +410,27 @@ impl Model for Sequential {
     }
 
     fn evaluate_range(&self, data: &Dataset, range: Range<usize>) -> EvalSums {
-        if !self.flat_batch_supported() {
+        let Some(plan) = &self.flat else {
             return evaluate_range_serial(self, data, range);
-        }
-        // Batched eval: forward whole row-tiles through one GEMM per dense
+        };
+        // Batched eval: forward row-tiles through one GEMM per dense
         // layer, then score rows in ascending sample order — the exact
         // accumulation sequence of the serial path, so chunked parallel
         // eval stays bitwise reproducible.
         let mut sums = EvalSums::default();
         let od = self.output_dim;
-        let mut start = range.start;
-        while start < range.end {
-            let end = (start + EVAL_GEMM_TILE).min(range.end);
-            let x = self.stack_features(data, end - start, start..end);
-            let acts = self.forward_flat_batch(x);
-            let out_mat = acts.last().expect("stack is non-empty");
-            for (s, i) in (start..end).enumerate() {
-                let out = Vector::from(out_mat.as_slice()[s * od..(s + 1) * od].to_vec());
-                score_sample(&mut sums, &out, &data.sample(i).target);
+        with_flat_scratch(|scratch| {
+            let mut start = range.start;
+            while start < range.end {
+                let end = (start + EVAL_GEMM_TILE).min(range.end);
+                self.forward_flat_batch(plan, data, start..end, end - start, &mut scratch.acts);
+                let out = &scratch.acts[plan.layers.len()];
+                for (i, row) in (start..end).zip(out.as_slice().chunks_exact(od)) {
+                    score_sample(&mut sums, row, &data.sample(i).target);
+                }
+                start = end;
             }
-            start = end;
-        }
+        });
         sums
     }
 }
@@ -512,27 +595,22 @@ mod tests {
         let _ = m.loss_and_grad(&xor_ish_data(), &[]);
     }
 
-    /// The batched flat path (stacked GEMM forward + rebuilt caches) must
-    /// reproduce the historical per-sample loop bit for bit — losses,
-    /// gradients, and evaluation sums.
-    #[test]
-    fn batched_flat_path_is_bitwise_equal_to_the_per_sample_loop() {
-        let m = mlp(9);
-        assert!(m.flat_batch_supported());
-        let data = xor_ish_data();
-        let idx = [0usize, 1, 2, 3, 1];
-
-        // Reference: replay the per-sample loop exactly as the serial
-        // branch runs it.
+    /// Replays the per-sample loop exactly as the serial branch runs it,
+    /// with the loss head spelled out through `ops::cross_entropy_loss`
+    /// and `ops::cross_entropy_grad`.
+    fn per_sample_loss_and_grad(m: &Sequential, data: &Dataset, idx: &[usize]) -> (f32, Vector) {
+        assert_eq!(m.head, LossHead::SoftmaxCrossEntropy);
         let mut ref_grad = Vector::zeros(m.dim());
         let gs = ref_grad.as_mut_slice();
         let mut loss_sum = 0.0f32;
-        for &i in &idx {
+        for &i in idx {
             let sample = data.sample(i);
             let (output, caches) = m.forward_with_caches(&sample.features);
-            let (loss, g_out) = m.head_loss_grad(&output, &sample.target);
-            loss_sum += loss;
-            let mut g = Signal::Flat(g_out);
+            let Target::Class(c) = sample.target else {
+                panic!("classification fixture")
+            };
+            loss_sum += ops::cross_entropy_loss(output.as_slice(), c);
+            let mut g = Signal::Flat(ops::cross_entropy_grad(&output, c));
             for (li, layer) in m.layers.iter().enumerate().rev() {
                 let start = m.param_offsets[li];
                 let end = start + layer.param_len();
@@ -541,19 +619,65 @@ mod tests {
         }
         let inv = 1.0 / idx.len() as f32;
         ref_grad.scale_in_place(inv);
-        let ref_loss = loss_sum * inv;
+        (loss_sum * inv, ref_grad)
+    }
 
-        let (loss, grad) = m.loss_and_grad(&data, &idx);
-        assert_eq!(loss.to_bits(), ref_loss.to_bits());
+    fn assert_batched_equals_per_sample(m: &Sequential, data: &Dataset, idx: &[usize]) {
+        assert!(m.flat.is_some());
+        let (ref_loss, ref_grad) = per_sample_loss_and_grad(m, data, idx);
+        let (loss, grad) = m.loss_and_grad(data, idx);
+        assert_eq!(
+            loss.to_bits(),
+            ref_loss.to_bits(),
+            "loss, batch {}",
+            idx.len()
+        );
         assert_eq!(grad.len(), ref_grad.len());
-        for (a, b) in grad.iter().zip(ref_grad.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        for (k, (a, b)) in grad.iter().zip(ref_grad.iter()).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "coordinate {k}, batch {}",
+                idx.len()
+            );
         }
+    }
 
-        let batched = m.evaluate_range(&data, 0..data.len());
-        let serial = evaluate_range_serial(&m, &data, 0..data.len());
+    fn assert_eval_equals_serial(m: &Sequential, data: &Dataset, range: Range<usize>) {
+        let batched = m.evaluate_range(data, range.clone());
+        let serial = evaluate_range_serial(m, data, range);
         assert_eq!(batched.loss_sum.to_bits(), serial.loss_sum.to_bits());
         assert_eq!(batched.correct, serial.correct);
         assert_eq!(batched.count, serial.count);
+    }
+
+    /// The batched flat path (stacked GEMM forward, batched backward) must
+    /// reproduce the per-sample loop bit for bit — losses, gradients, and
+    /// evaluation sums — on flat input and on the image-shaped benchmark
+    /// models, whose leading `Flatten` the batched path skips.
+    #[test]
+    fn batched_flat_path_is_bitwise_equal_to_the_per_sample_loop() {
+        let m = mlp(9);
+        let data = xor_ish_data();
+        assert_batched_equals_per_sample(&m, &data, &[0, 1, 2, 3, 1]);
+        assert_eval_equals_serial(&m, &data, 0..data.len());
+
+        let tt = hieradmo_data::synthetic::SyntheticDataset::mnist_like(8, 8, 3);
+        assert!(
+            crate::zoo::cnn(&tt.train, 1).flat.is_none(),
+            "conv stacks stay per sample"
+        );
+        let models = [
+            crate::zoo::logistic_regression(&tt.train, 11),
+            crate::zoo::mlp(&tt.train, 24, 12),
+        ];
+        for m in &models {
+            for batch in [1usize, 3, 8, 32] {
+                let idx: Vec<usize> = (0..batch).map(|s| (s * 13 + 5) % tt.train.len()).collect();
+                assert_batched_equals_per_sample(m, &tt.train, &idx);
+            }
+            assert_eval_equals_serial(m, &tt.test, 0..tt.test.len());
+            assert_eval_equals_serial(m, &tt.test, 3..tt.test.len() - 2);
+        }
     }
 }

@@ -28,7 +28,11 @@
 //! The matmul micro-kernel ([`matmul_bt`]) computes every output element
 //! with *exactly* the same per-element order as [`dot`], whether the
 //! element lands in a full register tile or on a remainder edge, so
-//! `matmul` results never depend on how the output space was tiled.
+//! `matmul` results never depend on how the output space was tiled. Its
+//! backward counterpart [`matmul_at_acc`] (a dense layer's weight gradient
+//! over a stacked mini-batch) is bitwise identical to the per-sample
+//! [`axpy`] loop it replaces, and [`nag_step`] fuses the worker-NAG update
+//! into one pass with the unfused composition's exact expressions.
 //!
 //! # Batched aggregation kernels and runtime dispatch
 //!
@@ -41,11 +45,17 @@
 //! the tolerance-tested reductions above: they are **bitwise identical**
 //! to the sequential compositions they replace, because they vectorize
 //! across independent coordinates while keeping each coordinate's
-//! operation sequence unchanged. They are also the only kernels with
-//! explicit intrinsics: [`dispatch_level`] probes the CPU once per process
-//! (overridable via `HIERADMO_KERNEL_DISPATCH=scalar|avx2`) and selects
-//! AVX2 or the portable scalar oracle — both produce the same bits, the
-//! property suite pins it, and the level is recorded in bench output.
+//! operation sequence unchanged.
+//!
+//! [`dispatch_level`] probes the CPU once per process (overridable via
+//! `HIERADMO_KERNEL_DISPATCH=scalar|avx2`) and selects AVX2 or the portable
+//! scalar oracle for the aggregation family and for the dense products
+//! [`matmul_bt`] and [`matmul_at_acc`]. The aggregation kernels' AVX2 paths
+//! use explicit intrinsics; the dense products build one generic body
+//! twice, under `#[target_feature(enable = "avx2")]` and as the public
+//! `*_scalar` oracle. Every pair produces the same bits — no path enables
+//! FMA contraction the other lacks — the property suite pins it, and the
+//! level is recorded in bench output.
 
 /// Number of independent accumulator lanes per kernel.
 ///
@@ -219,17 +229,19 @@ pub fn weighted_accumulate(acc: &mut [f64], w: f64, v: &[f32]) {
 // Runtime SIMD dispatch
 // ---------------------------------------------------------------------------
 
-/// Instruction-set level the batched kernels dispatch to at runtime.
+/// Instruction-set level the dispatched kernels run at: the batched
+/// aggregation family, [`matmul_bt`] and [`matmul_at_acc`].
 ///
 /// Selected **once** per process (see [`dispatch_level`]) so the choice can
-/// never flip mid-run: a run either executes every batched reduction on the
+/// never flip mid-run: a run either executes every dispatched kernel on the
 /// AVX2 path or every one on the portable path. Both paths are bitwise
 /// identical by construction (the vector lanes perform exactly the scalar
-/// per-coordinate operation sequence), so the level is a pure performance
+/// per-element operation sequence), so the level is a pure performance
 /// knob — determinism never depends on it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchLevel {
-    /// 256-bit AVX2 `f64` lanes (x86-64 only).
+    /// 256-bit AVX2 registers: four `f64` or eight `f32` lanes (x86-64
+    /// only).
     Avx2,
     /// Portable scalar fallback — the always-available oracle.
     Scalar,
@@ -246,13 +258,15 @@ impl DispatchLevel {
     }
 }
 
-/// The process-wide dispatch level for the batched kernels.
+/// The process-wide dispatch level of the dispatched kernels (the batched
+/// aggregation family, [`matmul_bt`] and [`matmul_at_acc`]).
 ///
 /// Chosen on first call and cached: the `HIERADMO_KERNEL_DISPATCH`
 /// environment variable (`"scalar"` or `"avx2"`) forces a path — CI uses
-/// `scalar` to run the determinism suites on the fallback — otherwise the
-/// CPU is probed for AVX2. Forcing `avx2` on a CPU without it panics
-/// rather than silently executing unsupported instructions.
+/// `scalar` to run the determinism suites, the model-level bitwise gates
+/// included, on the fallback — otherwise the CPU is probed for AVX2.
+/// Forcing `avx2` on a CPU without it panics rather than silently
+/// executing unsupported instructions.
 pub fn dispatch_level() -> DispatchLevel {
     static LEVEL: std::sync::OnceLock<DispatchLevel> = std::sync::OnceLock::new();
     *LEVEL.get_or_init(|| match std::env::var("HIERADMO_KERNEL_DISPATCH") {
@@ -571,11 +585,13 @@ pub fn momentum_step(looked: &mut [f32], gamma: f32, mean: &[f32], y_old: &[f32]
 /// resident in L1/L2 across the tile's inner products.
 const BLOCK: usize = 32;
 
-/// Register micro-tile: 2 A-rows × 2 Bᵀ-rows computed together, each
-/// output carrying its own [`LANES`]-wide accumulator (4·8 = 32 live
-/// `f32` accumulators — eight SSE / four AVX registers), so every loaded
-/// `a` and `b` chunk is reused twice.
-const TILE: usize = 2;
+/// Register micro-tile of [`matmul_bt`]: `TILE_ROWS` A-rows ×
+/// `TILE_COLS` Bᵀ-rows computed together, each output carrying its own
+/// [`LANES`]-wide accumulator (4·2·8 = 64 live `f32` accumulators — eight
+/// AVX registers), so every loaded `a` chunk feeds two outputs and every
+/// `bt` chunk four.
+const TILE_ROWS: usize = 4;
+const TILE_COLS: usize = 2;
 
 /// Blocked, register-tiled product `out = a · btᵀ` on raw row-major
 /// slices, where `bt` is already the transpose of the right-hand operand.
@@ -583,93 +599,363 @@ const TILE: usize = 2;
 /// * `a` is `n × k` row-major, `bt` is `m × k` row-major, `out` is
 ///   `n × m` row-major and fully overwritten.
 /// * The `(row, col)` output space is tiled `BLOCK`² for cache reuse and
-///   `TILE`² for register reuse; every output element's own summation
-///   order is identical to [`dot`] regardless of which tile computed it.
+///   4×2 for register reuse; every output element's own summation order
+///   is identical to [`dot`] (same lanes, same `reduce_lanes` tree, same
+///   serial tail) regardless of which tile computed it.
+///
+/// Dispatches once per process to an AVX2 build of the body or the scalar
+/// oracle ([`matmul_bt_scalar`]) — see [`dispatch_level`]. Both builds
+/// compile the same source with the same build-wide `fma` gate (the AVX2
+/// feature does not enable FMA contraction), so they produce the same
+/// bits.
 ///
 /// # Panics
 ///
 /// Panics if the slice lengths do not match the given dimensions.
 pub fn matmul_bt(a: &[f32], bt: &[f32], out: &mut [f32], n: usize, m: usize, k: usize) {
+    check_matmul_bt(a, bt, out, n, m, k);
+    #[cfg(target_arch = "x86_64")]
+    if dispatch_level() == DispatchLevel::Avx2 {
+        // SAFETY: AVX2 presence was verified by `dispatch_level`.
+        unsafe { matmul_bt_avx2(a, bt, out, n, m, k) };
+        return;
+    }
+    matmul_bt_body(a, bt, out, n, m, k);
+}
+
+/// Portable oracle for [`matmul_bt`]: the same body built without AVX2.
+/// Public so the property suite can pin the dispatched path against it
+/// bitwise within a single process.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match the given dimensions.
+pub fn matmul_bt_scalar(a: &[f32], bt: &[f32], out: &mut [f32], n: usize, m: usize, k: usize) {
+    check_matmul_bt(a, bt, out, n, m, k);
+    matmul_bt_body(a, bt, out, n, m, k);
+}
+
+fn check_matmul_bt(a: &[f32], bt: &[f32], out: &[f32], n: usize, m: usize, k: usize) {
     assert_eq!(a.len(), n * k, "kernels::matmul_bt lhs size mismatch");
     assert_eq!(bt.len(), m * k, "kernels::matmul_bt rhs size mismatch");
     assert_eq!(out.len(), n * m, "kernels::matmul_bt out size mismatch");
+}
+
+/// AVX2 build of [`matmul_bt`]: 256-bit registers hold one output's eight
+/// lanes, so the 4×2 tile's accumulators fit the register file.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 (checked by [`dispatch_level`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_bt_avx2(a: &[f32], bt: &[f32], out: &mut [f32], n: usize, m: usize, k: usize) {
+    matmul_bt_body(a, bt, out, n, m, k);
+}
+
+#[inline(always)]
+fn matmul_bt_body(a: &[f32], bt: &[f32], out: &mut [f32], n: usize, m: usize, k: usize) {
     for r0 in (0..n).step_by(BLOCK) {
         let r1 = (r0 + BLOCK).min(n);
         for c0 in (0..m).step_by(BLOCK) {
             let c1 = (c0 + BLOCK).min(m);
-            // 2×2 register micro-tiles over the cache block.
             let mut r = r0;
-            while r + TILE <= r1 {
-                let mut c = c0;
-                while c + TILE <= c1 {
-                    micro_2x2(a, bt, out, m, k, r, c);
-                    c += TILE;
-                }
-                // Remainder column(s) of this row pair.
-                for rr in r..r + TILE {
-                    for cc in c..c1 {
-                        out[rr * m + cc] = dot(&a[rr * k..(rr + 1) * k], &bt[cc * k..(cc + 1) * k]);
-                    }
-                }
-                r += TILE;
+            while r + TILE_ROWS <= r1 {
+                matmul_bt_rows::<TILE_ROWS>(a, bt, out, m, k, r, c0..c1);
+                r += TILE_ROWS;
             }
             // Remainder row(s) of this block.
             for rr in r..r1 {
-                for cc in c0..c1 {
-                    out[rr * m + cc] = dot(&a[rr * k..(rr + 1) * k], &bt[cc * k..(cc + 1) * k]);
+                matmul_bt_rows::<1>(a, bt, out, m, k, rr, c0..c1);
+            }
+        }
+    }
+}
+
+/// Output rows `r..r + R`, columns `cols`: full `R × TILE_COLS` tiles,
+/// then single remainder columns.
+#[inline(always)]
+fn matmul_bt_rows<const R: usize>(
+    a: &[f32],
+    bt: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    r: usize,
+    cols: std::ops::Range<usize>,
+) {
+    let mut c = cols.start;
+    while c + TILE_COLS <= cols.end {
+        micro_tile::<R, TILE_COLS>(a, bt, out, m, k, r, c);
+        c += TILE_COLS;
+    }
+    for cc in c..cols.end {
+        micro_tile::<R, 1>(a, bt, out, m, k, r, cc);
+    }
+}
+
+/// The `R × C` micro-kernel: `R·C` inner products over `k` advance in
+/// lock-step so each `a`/`bt` chunk loaded from L1 feeds several
+/// accumulator sets.
+///
+/// Per output element this performs exactly the [`dot`] recurrence (same
+/// lane assignment, same `reduce_lanes` tree, same serial tail), so the
+/// result is bitwise identical to calling [`dot`] on that row pair.
+#[inline(always)]
+fn micro_tile<const R: usize, const C: usize>(
+    a: &[f32],
+    bt: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    r: usize,
+    c: usize,
+) {
+    let rows: [&[f32]; R] = std::array::from_fn(|i| &a[(r + i) * k..(r + i + 1) * k]);
+    let cols: [&[f32]; C] = std::array::from_fn(|j| &bt[(c + j) * k..(c + j + 1) * k]);
+    let mut acc = [[[0.0f32; LANES]; C]; R];
+    let full = k - k % LANES;
+    for off in (0..full).step_by(LANES) {
+        let xs: [&[f32; LANES]; R] = std::array::from_fn(|i| lane_chunk(rows[i], off));
+        let ys: [&[f32; LANES]; C] = std::array::from_fn(|j| lane_chunk(cols[j], off));
+        for i in 0..R {
+            for j in 0..C {
+                for l in 0..LANES {
+                    acc[i][j][l] = fma(xs[i][l], ys[j][l], acc[i][j][l]);
+                }
+            }
+        }
+    }
+    let mut tail = [[0.0f32; C]; R];
+    for t in full..k {
+        for i in 0..R {
+            for j in 0..C {
+                tail[i][j] = fma(rows[i][t], cols[j][t], tail[i][j]);
+            }
+        }
+    }
+    for i in 0..R {
+        for j in 0..C {
+            out[(r + i) * m + c + j] = reduce_lanes(acc[i][j]) + tail[i][j];
+        }
+    }
+}
+
+/// The `LANES`-wide chunk of `row` starting at `off`.
+#[inline(always)]
+fn lane_chunk(row: &[f32], off: usize) -> &[f32; LANES] {
+    row[off..off + LANES]
+        .try_into()
+        .expect("chunk is LANES wide")
+}
+
+/// Weight-gradient columns per register strip of [`matmul_at_acc`].
+const AT_STRIP: usize = 2 * LANES;
+
+/// Weight-gradient rows per register tile of [`matmul_at_acc`]: 4 × 16
+/// accumulators fill eight AVX registers; the scalar build keeps 2 × 16,
+/// which fits the sixteen SSE registers without spilling. The tile shape
+/// never changes an element's operation sequence.
+const AT_ROWS: usize = 4;
+const SCALAR_AT_ROWS: usize = 2;
+
+/// Accumulated transposed product `gw += gᵀ · x` — a dense layer's weight
+/// gradient over a stacked mini-batch.
+///
+/// * `g` is `n × m` row-major (one upstream-gradient row per sample),
+///   `x` is `n × k` row-major (one layer-input row per sample), `gw` is
+///   `m × k` row-major and accumulated into.
+/// * Each element `gw[r][c]` receives `fma(g[s][r], x[s][c], ·)` for
+///   `s = 0, 1, …, n−1` in ascending order, skipping samples whose
+///   `g[s][r]` is zero — exactly the sequence of the per-sample
+///   `axpy(gw_row_r, g[s][r], x_s)` loop it replaces, so the result is
+///   **bitwise identical** to that loop.
+///
+/// The loop keeps a tile of `gw` (16 columns, up to 4 rows) in registers
+/// while all `n` samples stream through it, instead of loading and storing
+/// the gradient row once per sample.
+///
+/// Dispatches like [`matmul_bt`]; [`matmul_at_acc_scalar`] is the oracle.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match the given dimensions.
+pub fn matmul_at_acc(g: &[f32], x: &[f32], gw: &mut [f32], n: usize, m: usize, k: usize) {
+    check_matmul_at_acc(g, x, gw, n, m, k);
+    #[cfg(target_arch = "x86_64")]
+    if dispatch_level() == DispatchLevel::Avx2 {
+        // SAFETY: AVX2 presence was verified by `dispatch_level`.
+        unsafe { matmul_at_acc_avx2(g, x, gw, n, m, k) };
+        return;
+    }
+    matmul_at_acc_body::<SCALAR_AT_ROWS>(g, x, gw, n, m, k);
+}
+
+/// Portable oracle for [`matmul_at_acc`]: the same body built without
+/// AVX2.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match the given dimensions.
+pub fn matmul_at_acc_scalar(g: &[f32], x: &[f32], gw: &mut [f32], n: usize, m: usize, k: usize) {
+    check_matmul_at_acc(g, x, gw, n, m, k);
+    matmul_at_acc_body::<SCALAR_AT_ROWS>(g, x, gw, n, m, k);
+}
+
+fn check_matmul_at_acc(g: &[f32], x: &[f32], gw: &[f32], n: usize, m: usize, k: usize) {
+    assert_eq!(g.len(), n * m, "kernels::matmul_at_acc g size mismatch");
+    assert_eq!(x.len(), n * k, "kernels::matmul_at_acc x size mismatch");
+    assert_eq!(gw.len(), m * k, "kernels::matmul_at_acc gw size mismatch");
+}
+
+/// AVX2 build of [`matmul_at_acc`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2 (checked by [`dispatch_level`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_at_acc_avx2(g: &[f32], x: &[f32], gw: &mut [f32], n: usize, m: usize, k: usize) {
+    matmul_at_acc_body::<AT_ROWS>(g, x, gw, n, m, k);
+}
+
+#[inline(always)]
+fn matmul_at_acc_body<const RT: usize>(
+    g: &[f32],
+    x: &[f32],
+    gw: &mut [f32],
+    n: usize,
+    m: usize,
+    k: usize,
+) {
+    if n == 0 || m == 0 || k == 0 {
+        return;
+    }
+    // Strips outermost: one strip of every sample row (n × 64 B) stays in
+    // L1 while all row groups of the gradient consume it.
+    let full = k - k % AT_STRIP;
+    for c in (0..full).step_by(AT_STRIP) {
+        let mut r = 0;
+        while r + RT <= m {
+            at_acc_strip::<RT>(g, x, gw, m, k, r, c);
+            r += RT;
+        }
+        match m - r {
+            3 => at_acc_strip::<3>(g, x, gw, m, k, r, c),
+            2 => at_acc_strip::<2>(g, x, gw, m, k, r, c),
+            1 => at_acc_strip::<1>(g, x, gw, m, k, r, c),
+            _ => {}
+        }
+    }
+    // Remaining columns, in the per-sample `axpy` order.
+    if full < k {
+        for (gs, xs) in g.chunks_exact(m).zip(x.chunks_exact(k)) {
+            for (r, &gv) in gs.iter().enumerate() {
+                if gv == 0.0 {
+                    continue;
+                }
+                let row = &mut gw[r * k + full..(r + 1) * k];
+                for (dst, &xv) in row.iter_mut().zip(&xs[full..]) {
+                    *dst = fma(gv, xv, *dst);
                 }
             }
         }
     }
 }
 
-/// The 2×2 micro-kernel: four inner products over `k` advance in lock-step
-/// so each `a`/`bt` chunk loaded from L1 feeds two accumulator sets.
-///
-/// Per output element this performs exactly the [`dot`] recurrence (same
-/// lane assignment, same `reduce_lanes` tree, same serial tail), so the
-/// result is bitwise identical to calling [`dot`] on that row pair.
+/// Columns `c..c + AT_STRIP` of gradient rows `r..r + R`: the strip lives
+/// in registers while every sample is folded in, in ascending order.
 #[inline(always)]
-fn micro_2x2(a: &[f32], bt: &[f32], out: &mut [f32], m: usize, k: usize, r: usize, c: usize) {
-    let a0 = &a[r * k..(r + 1) * k];
-    let a1 = &a[(r + 1) * k..(r + 2) * k];
-    let b0 = &bt[c * k..(c + 1) * k];
-    let b1 = &bt[(c + 1) * k..(c + 2) * k];
-
-    let mut acc00 = [0.0f32; LANES];
-    let mut acc01 = [0.0f32; LANES];
-    let mut acc10 = [0.0f32; LANES];
-    let mut acc11 = [0.0f32; LANES];
-
-    let mut a0c = a0.chunks_exact(LANES);
-    let mut a1c = a1.chunks_exact(LANES);
-    let mut b0c = b0.chunks_exact(LANES);
-    let mut b1c = b1.chunks_exact(LANES);
-    for (((c_a0, c_a1), c_b0), c_b1) in (&mut a0c).zip(&mut a1c).zip(&mut b0c).zip(&mut b1c) {
-        for l in 0..LANES {
-            acc00[l] = fma(c_a0[l], c_b0[l], acc00[l]);
-            acc01[l] = fma(c_a0[l], c_b1[l], acc01[l]);
-            acc10[l] = fma(c_a1[l], c_b0[l], acc10[l]);
-            acc11[l] = fma(c_a1[l], c_b1[l], acc11[l]);
+fn at_acc_strip<const R: usize>(
+    g: &[f32],
+    x: &[f32],
+    gw: &mut [f32],
+    m: usize,
+    k: usize,
+    r: usize,
+    c: usize,
+) {
+    let mut acc: [[f32; AT_STRIP]; R] = std::array::from_fn(|i| {
+        let o = (r + i) * k + c;
+        gw[o..o + AT_STRIP]
+            .try_into()
+            .expect("strip is AT_STRIP wide")
+    });
+    for (gs, xs) in g.chunks_exact(m).zip(x.chunks_exact(k)) {
+        let gs: &[f32; R] = gs[r..r + R].try_into().expect("R gradient rows");
+        let xs: &[f32; AT_STRIP] = xs[c..c + AT_STRIP]
+            .try_into()
+            .expect("strip is AT_STRIP wide");
+        for (acc_row, &gv) in acc.iter_mut().zip(gs) {
+            if gv == 0.0 {
+                continue;
+            }
+            for (a, &xv) in acc_row.iter_mut().zip(xs) {
+                *a = fma(gv, xv, *a);
+            }
         }
     }
-    let (mut t00, mut t01, mut t10, mut t11) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    for (((&x0, &x1), &y0), &y1) in a0c
-        .remainder()
-        .iter()
-        .zip(a1c.remainder())
-        .zip(b0c.remainder())
-        .zip(b1c.remainder())
-    {
-        t00 = fma(x0, y0, t00);
-        t01 = fma(x0, y1, t01);
-        t10 = fma(x1, y0, t10);
-        t11 = fma(x1, y1, t11);
+    for (i, strip) in acc.iter().enumerate() {
+        let o = (r + i) * k + c;
+        gw[o..o + AT_STRIP].copy_from_slice(strip);
     }
-    out[r * m + c] = reduce_lanes(acc00) + t00;
-    out[r * m + c + 1] = reduce_lanes(acc01) + t01;
-    out[(r + 1) * m + c] = reduce_lanes(acc10) + t10;
-    out[(r + 1) * m + c + 1] = reduce_lanes(acc11) + t11;
+}
+
+/// One fused worker-NAG step (Algorithm 1 lines 5–6) with the
+/// edge-interval sums, in a single pass over the coordinates. Per
+/// coordinate, with `g` the mini-batch gradient at `x` and `y`, `x` the
+/// values before the step:
+///
+/// ```text
+/// grad_sum += g          y_sum += y
+/// y' = x − η·g           v' = y' − y        v_sum += v'
+/// x' = y' + γ·v'         (y, v) ← (y', v')
+/// ```
+///
+/// Every expression is the one the unfused composition evaluated: `+=` as
+/// [`axpy`] with `alpha = 1.0`, `y'` and `x'` as [`axpy`], the velocity as
+/// `Vector::sub_from` — so the result is bitwise identical to it.
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ.
+#[allow(clippy::too_many_arguments)]
+pub fn nag_step(
+    x: &mut [f32],
+    y: &mut [f32],
+    v: &mut [f32],
+    grad_sum: &mut [f32],
+    y_sum: &mut [f32],
+    v_sum: &mut [f32],
+    g: &[f32],
+    eta: f32,
+    gamma: f32,
+) {
+    let d = x.len();
+    for len in [
+        y.len(),
+        v.len(),
+        grad_sum.len(),
+        y_sum.len(),
+        v_sum.len(),
+        g.len(),
+    ] {
+        assert_eq!(len, d, "kernels::nag_step length mismatch");
+    }
+    // Re-slice to the common length so the loop runs without bounds checks.
+    let (y, v, g) = (&mut y[..d], &mut v[..d], &g[..d]);
+    let (grad_sum, y_sum, v_sum) = (&mut grad_sum[..d], &mut y_sum[..d], &mut v_sum[..d]);
+    for i in 0..d {
+        let (gi, y_old) = (g[i], y[i]);
+        grad_sum[i] = fma(1.0, gi, grad_sum[i]);
+        y_sum[i] = fma(1.0, y_old, y_sum[i]);
+        let y_new = fma(-eta, gi, x[i]);
+        let v_new = y_new - y_old;
+        v_sum[i] = fma(1.0, v_new, v_sum[i]);
+        x[i] = fma(gamma, v_new, y_new);
+        y[i] = y_new;
+        v[i] = v_new;
+    }
 }
 
 #[cfg(test)]
@@ -879,7 +1165,7 @@ mod tests {
 
     #[test]
     fn matmul_bt_elements_are_bitwise_equal_to_dot() {
-        // Shapes exercising full 2×2 tiles, row/col remainders, and block
+        // Shapes exercising full 4×2 tiles, row/col remainders, and block
         // edges; every element must match a direct `dot` of its row pair.
         for (n, m, k) in [(1, 1, 1), (2, 2, 8), (5, 3, 17), (33, 35, 41), (64, 64, 64)] {
             let a = seq(n * k, 0.21, 0.05);

@@ -198,7 +198,7 @@ impl Matrix {
     ///
     /// The kernel tiles the `(row, col)` output space 32×32 so a block of
     /// `self` rows is reused against a block of `bt` rows while both are
-    /// hot in cache, and computes 2×2 output micro-tiles together, each
+    /// hot in cache, and computes 4×2 output micro-tiles together, each
     /// element carrying eight independent lane accumulators
     /// ([`kernels::LANES`]). Each element's summation therefore runs as
     /// eight strided partial sums over `k` plus a serial tail, combined by
@@ -241,9 +241,9 @@ impl Matrix {
         }
     }
 
-    /// Resizes to `rows × cols` reusing the existing allocation; contents
-    /// afterwards are unspecified (every element is overwritten by callers).
-    fn reshape(&mut self, rows: usize, cols: usize) {
+    /// Resizes to `rows × cols` reusing the existing allocation; element
+    /// values afterwards are unspecified, so callers overwrite every one.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.resize(rows * cols, 0.0);

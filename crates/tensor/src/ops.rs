@@ -51,19 +51,57 @@ pub fn softmax(logits: &Vector) -> Vector {
 
 /// Numerically-stable log-softmax.
 pub fn log_softmax(logits: &Vector) -> Vector {
-    let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let log_sum: f32 = logits.iter().map(|&v| (v - max).exp()).sum::<f32>().ln() + max;
+    let log_sum = log_sum_exp(logits.as_slice());
     logits.iter().map(|&v| v - log_sum).collect()
 }
 
-/// Cross-entropy loss of one sample given raw logits and the true class.
+/// `ln Σ exp(v)` over the logits, shifted by their maximum for stability.
+fn log_sum_exp(logits: &[f32]) -> f32 {
+    let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    logits.iter().map(|&v| (v - max).exp()).sum::<f32>().ln() + max
+}
+
+/// Cross-entropy loss of one sample given raw logits and the true class:
+/// `-log_softmax(logits)[label]`, computed without materialising the
+/// log-softmax vector (same expressions, same bits).
 ///
 /// # Panics
 ///
 /// Panics if `label >= logits.len()`.
-pub fn cross_entropy_loss(logits: &Vector, label: usize) -> f32 {
+pub fn cross_entropy_loss(logits: &[f32], label: usize) -> f32 {
     assert!(label < logits.len(), "label {label} out of range");
-    -log_softmax(logits)[label]
+    -(logits[label] - log_sum_exp(logits))
+}
+
+/// Softmax cross-entropy of one sample in a single pass: writes the
+/// gradient w.r.t. the logits into `grad` and returns the loss.
+///
+/// Bitwise identical to [`cross_entropy_loss`] and [`cross_entropy_grad`]
+/// (the exponentials, their sum and every division are the same
+/// expressions in the same order), without allocating — the batched
+/// training path runs it on each logit row in place.
+///
+/// # Panics
+///
+/// Panics if `label >= logits.len()` or `grad.len() != logits.len()`.
+pub fn softmax_cross_entropy(logits: &[f32], label: usize, grad: &mut [f32]) -> f32 {
+    assert!(label < logits.len(), "label {label} out of range");
+    assert_eq!(
+        grad.len(),
+        logits.len(),
+        "softmax_cross_entropy length mismatch"
+    );
+    let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    for (g, &v) in grad.iter_mut().zip(logits) {
+        *g = (v - max).exp();
+    }
+    let sum: f32 = grad.iter().sum();
+    let loss = -(logits[label] - (sum.ln() + max));
+    for g in grad.iter_mut() {
+        *g /= sum;
+    }
+    grad[label] -= 1.0;
+    loss
 }
 
 /// Gradient of the cross-entropy loss w.r.t. the logits:
@@ -87,7 +125,7 @@ pub fn cross_entropy_grad(logits: &Vector, label: usize) -> Vector {
 /// # Panics
 ///
 /// Panics if the lengths differ.
-pub fn mse_loss(pred: &Vector, target: &Vector) -> f32 {
+pub fn mse_loss(pred: &[f32], target: &[f32]) -> f32 {
     assert_eq!(pred.len(), target.len(), "mse length mismatch");
     0.5 * pred
         .iter()
@@ -114,7 +152,7 @@ pub fn mse_grad(pred: &Vector, target: &Vector) -> Vector {
 /// # Panics
 ///
 /// Panics if `v` is empty.
-pub fn argmax(v: &Vector) -> usize {
+pub fn argmax(v: &[f32]) -> usize {
     assert!(!v.is_empty(), "argmax of empty vector");
     let mut best = 0;
     let mut best_val = v[0];
@@ -174,8 +212,8 @@ mod tests {
     fn cross_entropy_of_confident_correct_is_small() {
         let good = Vector::from(vec![10.0, -10.0]);
         let bad = Vector::from(vec![-10.0, 10.0]);
-        assert!(cross_entropy_loss(&good, 0) < 1e-3);
-        assert!(cross_entropy_loss(&bad, 0) > 5.0);
+        assert!(cross_entropy_loss(good.as_slice(), 0) < 1e-3);
+        assert!(cross_entropy_loss(bad.as_slice(), 0) > 5.0);
     }
 
     #[test]
@@ -196,8 +234,30 @@ mod tests {
             xp[i] += eps;
             let mut xm = x.clone();
             xm[i] -= eps;
-            let fd = (cross_entropy_loss(&xp, 2) - cross_entropy_loss(&xm, 2)) / (2.0 * eps);
+            let fd = (cross_entropy_loss(xp.as_slice(), 2) - cross_entropy_loss(xm.as_slice(), 2))
+                / (2.0 * eps);
             assert_close(g[i], fd, 1e-3);
+        }
+    }
+
+    #[test]
+    fn softmax_cross_entropy_is_bitwise_the_loss_and_grad_pair() {
+        for (logits, label) in [
+            (vec![0.2f32, -0.7, 1.1], 2),
+            (vec![1000.0, 1000.0, 999.0], 0),
+            (vec![-3.5, 0.0, 2.25, 7.0, -0.125], 3),
+            (vec![0.5], 0),
+        ] {
+            let v = Vector::from(logits.clone());
+            let mut grad = vec![9.0f32; logits.len()];
+            let loss = softmax_cross_entropy(&logits, label, &mut grad);
+            let want_loss = -log_softmax(&v)[label];
+            assert_eq!(loss.to_bits(), want_loss.to_bits());
+            assert_eq!(loss.to_bits(), cross_entropy_loss(&logits, label).to_bits());
+            let want_grad = cross_entropy_grad(&v, label);
+            for (g, w) in grad.iter().zip(want_grad.iter()) {
+                assert_eq!(g.to_bits(), w.to_bits());
+            }
         }
     }
 
@@ -205,14 +265,14 @@ mod tests {
     fn mse_and_grad() {
         let p = Vector::from(vec![1.0, 2.0]);
         let t = Vector::from(vec![0.0, 0.0]);
-        assert_close(mse_loss(&p, &t), 2.5, 1e-6);
+        assert_close(mse_loss(p.as_slice(), t.as_slice()), 2.5, 1e-6);
         assert_eq!(mse_grad(&p, &t).as_slice(), &[1.0, 2.0]);
     }
 
     #[test]
     fn argmax_picks_first_max() {
-        assert_eq!(argmax(&Vector::from(vec![1.0, 3.0, 3.0])), 1);
-        assert_eq!(argmax(&Vector::from(vec![-5.0])), 0);
+        assert_eq!(argmax(&[1.0, 3.0, 3.0]), 1);
+        assert_eq!(argmax(&[-5.0]), 0);
     }
 
     #[test]

@@ -204,6 +204,82 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The dispatched `matmul_bt` (AVX2 where available) is bitwise the
+    /// scalar oracle and the `dot` of each row pair, on shapes that leave
+    /// a row remainder of the 4-row tile (`n % 4 ≠ 0`), a column
+    /// remainder of the 2-column tile (odd `m`) and a lane tail
+    /// (`k % 8 ≠ 0`).
+    #[test]
+    fn matmul_bt_dispatch_matches_scalar_oracle_bitwise(
+        n_tiles in 0usize..10,
+        n_rem in 1usize..4,
+        m_pairs in 0usize..20,
+        k_chunks in 0usize..12,
+        k_rem in 1usize..8,
+        seed in 0u64..1000,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let (n, m, k) = (4 * n_tiles + n_rem, 2 * m_pairs + 1, 8 * k_chunks + k_rem);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let a: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        let bt: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+
+        let mut dispatched = vec![0.0f32; n * m];
+        kernels::matmul_bt(&a, &bt, &mut dispatched, n, m, k);
+        let mut oracle = vec![0.0f32; n * m];
+        kernels::matmul_bt_scalar(&a, &bt, &mut oracle, n, m, k);
+        prop_assert_eq!(bits(&dispatched), bits(&oracle));
+        for r in 0..n {
+            for c in 0..m {
+                let row_dot = kernels::dot(&a[r * k..(r + 1) * k], &bt[c * k..(c + 1) * k]);
+                prop_assert_eq!(dispatched[r * m + c].to_bits(), row_dot.to_bits());
+            }
+        }
+    }
+
+    /// `matmul_at_acc` (dispatched and scalar oracle) is bitwise the
+    /// per-sample `axpy` loop it replaced, zero-gradient skip included:
+    /// `G` holds zeros and the accumulator starts with `-0.0` entries,
+    /// which a multiply-add by zero would turn into `+0.0`.
+    #[test]
+    fn matmul_at_acc_matches_per_sample_axpy_bitwise(
+        n in 1usize..20,
+        m in 1usize..12,
+        k in 0usize..50,
+        seed in 0u64..1000,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let g: Vec<f32> = (0..n * m)
+            .map(|_| if rng.gen_range(0.0f32..1.0) < 0.3 { 0.0 } else { rng.gen_range(-2.0f32..2.0) })
+            .collect();
+        let x: Vec<f32> = (0..n * k).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+        let gw0: Vec<f32> = (0..m * k)
+            .map(|_| if rng.gen_range(0.0f32..1.0) < 0.3 { -0.0 } else { rng.gen_range(-1.0f32..1.0) })
+            .collect();
+
+        let mut per_sample = gw0.clone();
+        for s in 0..n {
+            for r in 0..m {
+                let gv = g[s * m + r];
+                if gv == 0.0 {
+                    continue;
+                }
+                kernels::axpy(&mut per_sample[r * k..(r + 1) * k], gv, &x[s * k..(s + 1) * k]);
+            }
+        }
+        let mut dispatched = gw0.clone();
+        kernels::matmul_at_acc(&g, &x, &mut dispatched, n, m, k);
+        prop_assert_eq!(bits(&dispatched), bits(&per_sample));
+        let mut oracle = gw0;
+        kernels::matmul_at_acc_scalar(&g, &x, &mut oracle, n, m, k);
+        prop_assert_eq!(bits(&oracle), bits(&per_sample));
+    }
+}
+
 fn bits64(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
