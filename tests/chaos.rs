@@ -16,8 +16,8 @@
 mod common;
 
 use common::{
-    assert_bitwise_equal, sim_config, sim_fixture, small_tier_trees, tiered_fixture,
-    tiered_sim_config,
+    assert_bitwise_equal, assert_pinned, sim_config, sim_fixture, small_tier_trees, tiered_fixture,
+    tiered_sim_config, Pin,
 };
 use hieradmo::core::algorithms::HierAdMo;
 use hieradmo::core::{run, RunConfig, Strategy};
@@ -147,7 +147,41 @@ fn empty_plan_matches_fault_free_run_under_every_policy() {
         );
         assert_eq!(plain.events, with_empty.events, "{label}: event count");
         assert_zero_counters(&with_empty, &label);
+        assert_pinned(&plain, fault_free_pin(policy), &label);
     }
+}
+
+/// Pinned fingerprints of the fault-free fixture run under each policy
+/// (`all_policies` order). The Deadline and AsyncAge trajectories are
+/// fixed by nothing else.
+fn fault_free_pin(policy: SyncPolicy) -> Pin {
+    let pins: [Pin; 3] = [
+        Pin {
+            params: 0xbc9a8dcd95a3d6a7,
+            events: 120,
+            seconds: 0x4006e09c80ab187b,
+            curve: 7,
+            gamma: 4,
+        },
+        Pin {
+            params: 0x0e31c5d05a36be43,
+            events: 126,
+            seconds: 0x4004bd003b6e19f1,
+            curve: 3,
+            gamma: 8,
+        },
+        Pin {
+            params: 0xf277107faed2a114,
+            events: 128,
+            seconds: 0x40076c09547d7d43,
+            curve: 9,
+            gamma: 16,
+        },
+    ];
+    pins[all_policies()
+        .iter()
+        .position(|p| *p == policy)
+        .expect("a listed policy")]
 }
 
 // ---------------------------------------------------------------------
@@ -297,7 +331,41 @@ fn no_policy_deadlocks_when_a_minority_of_workers_die() {
         );
         // Everyone else keeps working after the death.
         assert!(sim.simulated_seconds > 0.05, "{label}: run ended too early");
+        assert_pinned(&sim, minority_death_pin(policy), &label);
     }
+}
+
+/// Pinned fingerprints of the permanent-death run under each policy
+/// (`all_policies` order): the dead worker is waived at every barrier, so
+/// these fix the waiver rules as well as the firing rules.
+fn minority_death_pin(policy: SyncPolicy) -> Pin {
+    let pins: [Pin; 3] = [
+        Pin {
+            params: 0x5c9b81d9852df91a,
+            events: 94,
+            seconds: 0x40069225dec73236,
+            curve: 7,
+            gamma: 4,
+        },
+        Pin {
+            params: 0x30c37be64bad0413,
+            events: 96,
+            seconds: 0x4005b8ebcadea55d,
+            curve: 3,
+            gamma: 8,
+        },
+        Pin {
+            params: 0x584e1387b29d6b06,
+            events: 98,
+            seconds: 0x4006785c4cafcab5,
+            curve: 6,
+            gamma: 12,
+        },
+    ];
+    pins[all_policies()
+        .iter()
+        .position(|p| *p == policy)
+        .expect("a listed policy")]
 }
 
 /// Transient chaos (crashes + flaky links + stragglers) degrades

@@ -436,3 +436,41 @@ pub fn assert_bitwise_equal(reference: &RunResult, sim: &SimResult, label: &str)
         "{label}: cos trace differs"
     );
 }
+
+/// A co-simulation's fingerprint for hard-coded trajectory pins: an FNV-1a
+/// hash of the final parameters' bits, the event count, the bits of the
+/// simulated duration, and the curve and γ-trace lengths. Self-replay and
+/// thread-invariance checks cannot see a drift that every run shares; a
+/// pin recorded once can.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pin {
+    pub params: u64,
+    pub events: u64,
+    pub seconds: u64,
+    pub curve: usize,
+    pub gamma: usize,
+}
+
+impl Pin {
+    pub fn of(sim: &SimResult) -> Pin {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for v in sim.final_params.iter() {
+            for b in v.to_bits().to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        Pin {
+            params: h,
+            events: sim.events,
+            seconds: sim.simulated_seconds.to_bits(),
+            curve: sim.curve.len(),
+            gamma: sim.gamma_trace.len(),
+        }
+    }
+}
+
+/// Asserts that `sim` reproduces the pinned fingerprint `expected`.
+pub fn assert_pinned(sim: &SimResult, expected: Pin, label: &str) {
+    assert_eq!(Pin::of(sim), expected, "{label}: pinned trajectory drifted");
+}

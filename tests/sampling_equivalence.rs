@@ -17,8 +17,8 @@ mod common;
 use std::collections::HashSet;
 
 use common::{
-    matrix_policies, run_on_tree, run_virtual_on_tree, sampled_fault_plan, sampled_matrix_trees,
-    sampled_tier_fixture, sim_config, sim_fixture, small_tier_trees,
+    assert_pinned, matrix_policies, run_on_tree, run_virtual_on_tree, sampled_fault_plan,
+    sampled_matrix_trees, sampled_tier_fixture, sim_config, sim_fixture, small_tier_trees, Pin,
 };
 use hieradmo::core::algorithms::HierAdMo;
 use hieradmo::core::population::{
@@ -885,6 +885,9 @@ fn depth_policy_chaos_matrix() {
                     );
                     assert_eq!(s1.events, other.events, "{label} [{tag}]: events");
                 }
+                if !matches!(policy, SyncPolicy::FullSync) {
+                    assert_pinned(&s1, relaxed_matrix_pin(&label), &label);
+                }
                 if *chaos == "faults" {
                     let w = s1
                         .faults
@@ -922,6 +925,200 @@ fn depth_policy_chaos_matrix() {
             }
         }
     }
+}
+
+/// Pinned fingerprints of the relaxed-policy cells of
+/// [`depth_policy_chaos_matrix`]: nothing else fixes a Deadline or
+/// AsyncAge trajectory of the sampled engine, so a drift in when rounds
+/// fire, in the staleness the hooks see or in how ages advance would pass
+/// the matrix's replay and thread checks unnoticed.
+fn relaxed_matrix_pin(label: &str) -> Pin {
+    const PINS: &[(&str, Pin)] = &[
+        (
+            "depth=3 policy=deadline(q=0.5,150ms) chaos=clean",
+            Pin {
+                params: 0x4dbf2984ae25ff9f,
+                events: 90,
+                seconds: 0x3ff44b6dc2b29417,
+                curve: 2,
+                gamma: 4,
+            },
+        ),
+        (
+            "depth=3 policy=deadline(q=0.5,150ms) chaos=faults",
+            Pin {
+                params: 0xebeacd0552a18377,
+                events: 59,
+                seconds: 0x3ff93a2e112f45e8,
+                curve: 2,
+                gamma: 4,
+            },
+        ),
+        (
+            "depth=3 policy=deadline(q=0.5,150ms) chaos=adversary",
+            Pin {
+                params: 0x0784ed4be7fb52f4,
+                events: 90,
+                seconds: 0x3ff44b6dc2b29417,
+                curve: 2,
+                gamma: 4,
+            },
+        ),
+        (
+            "depth=3 policy=async(age<=2) chaos=clean",
+            Pin {
+                params: 0xe35e8449c70ebded,
+                events: 71,
+                seconds: 0x3fefcc4870508d23,
+                curve: 2,
+                gamma: 4,
+            },
+        ),
+        (
+            "depth=3 policy=async(age<=2) chaos=faults",
+            Pin {
+                params: 0x087cf867b0fb5acb,
+                events: 51,
+                seconds: 0x3ff9dd45631daa7d,
+                curve: 2,
+                gamma: 4,
+            },
+        ),
+        (
+            "depth=3 policy=async(age<=2) chaos=adversary",
+            Pin {
+                params: 0xe35e8449c70ebded,
+                events: 71,
+                seconds: 0x3fefcc4870508d23,
+                curve: 2,
+                gamma: 4,
+            },
+        ),
+        (
+            "depth=4 policy=deadline(q=0.5,150ms) chaos=clean",
+            Pin {
+                params: 0xd956d3de4b11e813,
+                events: 351,
+                seconds: 0x400419e0befdd097,
+                curve: 2,
+                gamma: 8,
+            },
+        ),
+        (
+            "depth=4 policy=deadline(q=0.5,150ms) chaos=faults",
+            Pin {
+                params: 0x7c35319c0742d52d,
+                events: 256,
+                seconds: 0x400f19793f623749,
+                curve: 2,
+                gamma: 8,
+            },
+        ),
+        (
+            "depth=4 policy=deadline(q=0.5,150ms) chaos=adversary",
+            Pin {
+                params: 0x5c1381342ec6863d,
+                events: 351,
+                seconds: 0x400419e0befdd097,
+                curve: 2,
+                gamma: 8,
+            },
+        ),
+        (
+            "depth=4 policy=async(age<=2) chaos=clean",
+            Pin {
+                params: 0x4ef3e70bcdb8d12b,
+                events: 287,
+                seconds: 0x40013cf6ff89ee2e,
+                curve: 2,
+                gamma: 8,
+            },
+        ),
+        (
+            "depth=4 policy=async(age<=2) chaos=faults",
+            Pin {
+                params: 0x1df926d7ffb7ef0b,
+                events: 221,
+                seconds: 0x400b3352da7b47d4,
+                curve: 2,
+                gamma: 8,
+            },
+        ),
+        (
+            "depth=4 policy=async(age<=2) chaos=adversary",
+            Pin {
+                params: 0xf84c421d5e2d6c63,
+                events: 287,
+                seconds: 0x40013cf6ff89ee2e,
+                curve: 2,
+                gamma: 8,
+            },
+        ),
+        (
+            "depth=5 policy=deadline(q=0.5,150ms) chaos=clean",
+            Pin {
+                params: 0x596e12fa1c170e89,
+                events: 1392,
+                seconds: 0x4015629181cd8159,
+                curve: 2,
+                gamma: 16,
+            },
+        ),
+        (
+            "depth=5 policy=deadline(q=0.5,150ms) chaos=faults",
+            Pin {
+                params: 0x7028a0e35cb73fda,
+                events: 1054,
+                seconds: 0x40183516b5922fbe,
+                curve: 2,
+                gamma: 16,
+            },
+        ),
+        (
+            "depth=5 policy=deadline(q=0.5,150ms) chaos=adversary",
+            Pin {
+                params: 0x2d3d053bd32a55a5,
+                events: 1392,
+                seconds: 0x4015629181cd8159,
+                curve: 2,
+                gamma: 16,
+            },
+        ),
+        (
+            "depth=5 policy=async(age<=2) chaos=clean",
+            Pin {
+                params: 0x70e9d97efb7b3146,
+                events: 1158,
+                seconds: 0x401424c79cc7dcca,
+                curve: 2,
+                gamma: 16,
+            },
+        ),
+        (
+            "depth=5 policy=async(age<=2) chaos=faults",
+            Pin {
+                params: 0xd879e3a51e7e826d,
+                events: 926,
+                seconds: 0x401dcc775cf24e20,
+                curve: 2,
+                gamma: 16,
+            },
+        ),
+        (
+            "depth=5 policy=async(age<=2) chaos=adversary",
+            Pin {
+                params: 0xf0d12fbc168d02ec,
+                events: 1158,
+                seconds: 0x401424c79cc7dcca,
+                curve: 2,
+                gamma: 16,
+            },
+        ),
+    ];
+    PINS.iter()
+        .find(|(l, _)| *l == label)
+        .map(|(_, p)| *p)
+        .unwrap_or_else(|| panic!("{label}: no pin recorded"))
 }
 
 /// Full participation at every matrix depth delegates to the seed
