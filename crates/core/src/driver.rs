@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use hieradmo_data::{Batcher, Dataset};
 use hieradmo_metrics::{AdversaryCounters, ConvergenceCurve, EvalPoint, TopologyCounters};
-use hieradmo_models::{EvalSums, Model};
+use hieradmo_models::{EvalSums, Evaluation, Model};
 use hieradmo_netsim::adversary::{AdversarySampler, AttackModel};
 use hieradmo_tensor::Vector;
 use hieradmo_topology::{Hierarchy, Schedule, ScheduleError, TierTree, Weights};
@@ -24,13 +24,7 @@ use rand::{Rng, SeedableRng};
 use crate::byzantine::{corrupt_upload, replay_upload};
 use crate::checkpoint::TrainingSnapshot;
 use crate::config::RunConfig;
-/// Samples per evaluation chunk, re-exported so alternative drivers (the
-/// event-driven runtime in `hieradmo-simrt`) can reproduce this engine's
-/// exact f64 partial-sum reduction order.
-pub use crate::pool::EVAL_CHUNK;
-use crate::pool::{
-    chunk, EdgeItem, EvalChunk, EvalTarget, ExecCtx, Job, Pool, Reply, StepCtx, StepItem,
-};
+use crate::pool::{chunk, EdgeItem, ExecCtx, Job, Pool, Reply, StepCtx, StepItem};
 use crate::state::{FlState, TierState, WorkerState};
 use crate::strategy::{fire_middle_tiers, Strategy, TierScope};
 
@@ -348,21 +342,23 @@ where
     let train_probe = build_train_probe(worker_data, cfg.train_eval_cap);
     let threads = cfg.resolved_threads();
 
-    // Per-worker step contexts: a model replica, a private batcher stream
-    // (so data order is independent of scheduling), and a reusable batch
-    // buffer. `None` while checked out to a job.
-    let mut ctxs: Vec<Option<StepCtx<M>>> = worker_data
+    // Per-worker step contexts: a private batcher stream (so data order is
+    // independent of scheduling) and a reusable batch buffer. `None` while
+    // checked out to a job.
+    let mut ctxs: Vec<Option<StepCtx>> = worker_data
         .iter()
         .enumerate()
         .map(|(i, d)| {
             Some(StepCtx {
-                model: model.clone(),
                 batcher: Batcher::new(d.len(), cfg.batch_size, cfg.seed.wrapping_add(i as u64)),
                 batch: Vec::with_capacity(cfg.batch_size.min(d.len())),
             })
         })
         .collect();
-    let mut eval_model = model.clone();
+    // One model replica per evaluation lane; the first is also the calling
+    // thread's pool lane, on which its share of the local steps run (each
+    // spawned pool thread holds its own).
+    let mut lane_models: Vec<M> = (0..threads).map(|_| model.clone()).collect();
 
     let mut curve = ConvergenceCurve::new();
     let mut gamma_trace = Vec::new();
@@ -390,8 +386,6 @@ where
         cfg,
         worker_data,
         weights: &engine_weights,
-        test_data,
-        train_probe: &train_probe,
     };
 
     std::thread::scope(|scope| {
@@ -428,7 +422,7 @@ where
             }
 
             let t0 = Instant::now();
-            let items: Vec<StepItem<M>> = active
+            let items: Vec<StepItem> = active
                 .iter()
                 .enumerate()
                 .filter(|(_, a)| **a)
@@ -442,7 +436,7 @@ where
                 .into_iter()
                 .map(|items| Job::Steps { t: tick.t, items })
                 .collect();
-            for reply in pool.exec(ctx, &mut eval_model, jobs) {
+            for reply in pool.exec(ctx, &mut lane_models[0], jobs) {
                 let Reply::Steps(items) = reply else {
                     unreachable!("step job must yield a step reply")
                 };
@@ -472,7 +466,7 @@ where
                         );
                     }
                 }
-                edge_aggregations(&pool, ctx, &mut eval_model, &mut state, k, threads);
+                edge_aggregations(&pool, ctx, &mut lane_models[0], &mut state, k, threads);
                 let n_edges = state.edges.len() as f32;
                 let mean_gamma = state.edges.iter().map(|e| e.gamma_edge).sum::<f32>() / n_edges;
                 gamma_trace.push((k, mean_gamma));
@@ -504,7 +498,7 @@ where
                 let t0 = Instant::now();
                 let global = strategy.global_params(&state);
                 let (test_eval, train_eval) =
-                    evaluate_global(&pool, ctx, &mut eval_model, &global, threads);
+                    evaluate_on_replicas(&mut lane_models, test_data, &train_probe, &global);
                 curve.push(EvalPoint {
                     iteration: tick.t,
                     train_loss: train_eval.loss,
@@ -548,9 +542,9 @@ where
 /// are stored edge-major, so each edge owns a contiguous block), processed
 /// in fixed edge order within each chunk, and reassembled by edge index.
 fn edge_aggregations<M, S>(
-    pool: &Pool<M>,
+    pool: &Pool,
     ctx: ExecCtx<'_, S>,
-    eval_model: &mut M,
+    lane_model: &mut M,
     state: &mut FlState,
     k: usize,
     threads: usize,
@@ -576,7 +570,7 @@ fn edge_aggregations<M, S>(
         .map(|items| Job::Edges { k, items })
         .collect();
     let mut returned: Vec<EdgeItem> = pool
-        .exec(ctx, eval_model, jobs)
+        .exec(ctx, lane_model, jobs)
         .into_iter()
         .flat_map(|reply| {
             let Reply::Edges(items) = reply else {
@@ -595,64 +589,39 @@ fn edge_aggregations<M, S>(
     state.workers = workers;
 }
 
-/// Evaluates `params` on the test set and the training probe, split into
-/// fixed [`EVAL_CHUNK`]-sample chunks fanned out across the pool. Partial
-/// sums are reduced in `(target, chunk index)` order, so the result is
-/// identical for every thread count — including 1, which uses the same
-/// chunking.
-fn evaluate_global<M, S>(
-    pool: &Pool<M>,
-    ctx: ExecCtx<'_, S>,
-    eval_model: &mut M,
-    params: &Vector,
-    threads: usize,
-) -> (hieradmo_models::Evaluation, hieradmo_models::Evaluation)
-where
-    M: Model + Clone + Send,
+/// Samples per evaluation chunk, fixed for all lane counts: chunk
+/// boundaries depend only on the dataset length, so the f64 partial-sum
+/// reduction order of [`evaluate_on_replicas`] is invariant.
+pub const EVAL_CHUNK: usize = 256;
+
+/// One local step of `strategy` at tick `t` on `worker`, with the gradient
+/// path every engine shares: the hook loads the queried parameters into
+/// `model`, takes the loss gradient over `batch` of `data`, and rescales it
+/// to `clip_norm` when its norm exceeds that. `model` is scratch — any
+/// replica works, since its parameters are set before every gradient.
+pub fn clipped_local_step<M, S>(
+    strategy: &S,
+    t: usize,
+    worker: &mut WorkerState,
+    model: &mut M,
+    data: &Dataset,
+    batch: &[usize],
+    clip_norm: Option<f32>,
+) where
+    M: Model,
     S: Strategy + ?Sized,
 {
-    let mut chunks = Vec::new();
-    for (target, len) in [
-        (EvalTarget::Test, ctx.test_data.len()),
-        (EvalTarget::Probe, ctx.train_probe.len()),
-    ] {
-        for (idx, start) in (0..len).step_by(EVAL_CHUNK).enumerate() {
-            chunks.push(EvalChunk {
-                target,
-                idx,
-                range: start..(start + EVAL_CHUNK).min(len),
-            });
+    let mut grad_fn = |p: &Vector, out: &mut Vector| {
+        model.set_params(p);
+        model.loss_and_grad_into(data, batch, out);
+        if let Some(max_norm) = clip_norm {
+            let norm = out.norm();
+            if norm > max_norm {
+                out.scale_in_place(max_norm / norm);
+            }
         }
-    }
-
-    let jobs = chunk(chunks, threads)
-        .into_iter()
-        .map(|chunks| Job::Eval {
-            params: params.clone(),
-            chunks,
-        })
-        .collect();
-    let mut partials: Vec<(EvalTarget, usize, EvalSums)> = pool
-        .exec(ctx, eval_model, jobs)
-        .into_iter()
-        .flat_map(|reply| {
-            let Reply::Eval(sums) = reply else {
-                unreachable!("eval job must yield an eval reply")
-            };
-            sums
-        })
-        .collect();
-    partials.sort_unstable_by_key(|&(target, idx, _)| (target, idx));
-
-    let mut test_sums = EvalSums::default();
-    let mut probe_sums = EvalSums::default();
-    for (target, _, sums) in partials {
-        match target {
-            EvalTarget::Test => test_sums.merge(&sums),
-            EvalTarget::Probe => probe_sums.merge(&sums),
-        }
-    }
-    (test_sums.finish(), probe_sums.finish())
+    };
+    strategy.local_step(t, worker, &mut grad_fn);
 }
 
 /// Evaluates `params` on the test set and training probe with this
@@ -674,7 +643,7 @@ pub fn evaluate_on_replicas<M>(
     test: &Dataset,
     probe: &Dataset,
     params: &Vector,
-) -> (hieradmo_models::Evaluation, hieradmo_models::Evaluation)
+) -> (Evaluation, Evaluation)
 where
     M: Model + Send,
 {

@@ -5,21 +5,21 @@
 //! spawn/join). The driver checks state *out* of [`crate::state::FlState`]
 //! into self-contained job items, ships contiguous fixed-order chunks to
 //! the pool over channels, runs the first chunk on the calling thread, and
-//! reassembles results by identity (worker index, edge index, eval chunk
-//! index) — never by arrival order. Together with per-worker RNG streams
-//! and fixed-size evaluation chunks this makes every run bitwise identical
-//! for any thread count.
+//! reassembles results by identity (worker index, edge index) — never by
+//! arrival order. Each lane owns one model replica and computes the
+//! gradients of whichever workers its chunk holds; together with
+//! per-worker RNG streams this makes every run bitwise identical for any
+//! thread count.
 
-use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::Scope;
 
 use hieradmo_data::{Batcher, Dataset};
-use hieradmo_models::{EvalSums, Model};
-use hieradmo_tensor::Vector;
+use hieradmo_models::Model;
 use hieradmo_topology::Weights;
 
 use crate::config::RunConfig;
+use crate::driver::clipped_local_step;
 use crate::state::{EdgeView, TierState, WorkerState};
 use crate::strategy::Strategy;
 
@@ -36,10 +36,6 @@ pub(crate) struct ExecCtx<'a, S: ?Sized> {
     /// Data-size weights (an owned copy held by the driver, identical to
     /// `FlState::weights`).
     pub weights: &'a Weights,
-    /// Held-out test set for evaluation jobs.
-    pub test_data: &'a Dataset,
-    /// Capped training probe for evaluation jobs.
-    pub train_probe: &'a Dataset,
 }
 
 impl<S: ?Sized> Clone for ExecCtx<'_, S> {
@@ -50,20 +46,19 @@ impl<S: ?Sized> Clone for ExecCtx<'_, S> {
 
 impl<S: ?Sized> Copy for ExecCtx<'_, S> {}
 
-/// A worker's checked-out step state: its model replica, its private
-/// batcher stream, and a reusable batch-index buffer.
-pub(crate) struct StepCtx<M> {
-    pub model: M,
+/// A worker's checked-out step state: its private batcher stream and a
+/// reusable batch-index buffer.
+pub(crate) struct StepCtx {
     pub batcher: Batcher,
     pub batch: Vec<usize>,
 }
 
 /// One worker's local-step work item.
-pub(crate) struct StepItem<M> {
+pub(crate) struct StepItem {
     /// Flat worker index (identity for reassembly).
     pub idx: usize,
     pub worker: WorkerState,
-    pub ctx: StepCtx<M>,
+    pub ctx: StepCtx,
 }
 
 /// One edge's aggregation work item: its workers and edge state, checked
@@ -77,44 +72,18 @@ pub(crate) struct EdgeItem {
     pub state: TierState,
 }
 
-/// Which dataset an evaluation chunk reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) enum EvalTarget {
-    Test,
-    Probe,
-}
-
-/// A fixed-size slice of an evaluation pass. Chunk boundaries depend only
-/// on the dataset length (see [`EVAL_CHUNK`]), never on the thread count,
-/// so the f64 partial-sum reduction order is invariant.
-pub(crate) struct EvalChunk {
-    pub target: EvalTarget,
-    /// Chunk ordinal within `target` (identity for ordered reduction).
-    pub idx: usize,
-    pub range: Range<usize>,
-}
-
-/// Samples per evaluation chunk, fixed for all thread counts.
-pub const EVAL_CHUNK: usize = 256;
-
 /// Work shipped to a pool thread (or run inline on the caller).
-pub(crate) enum Job<M> {
+pub(crate) enum Job {
     /// Local steps at tick `t` for the contained workers.
-    Steps { t: usize, items: Vec<StepItem<M>> },
+    Steps { t: usize, items: Vec<StepItem> },
     /// Edge aggregations `k` for the contained edges.
     Edges { k: usize, items: Vec<EdgeItem> },
-    /// Evaluation of `params` over the contained chunks.
-    Eval {
-        params: Vector,
-        chunks: Vec<EvalChunk>,
-    },
 }
 
 /// The completed counterpart of a [`Job`], carrying state back.
-pub(crate) enum Reply<M> {
-    Steps(Vec<StepItem<M>>),
+pub(crate) enum Reply {
+    Steps(Vec<StepItem>),
     Edges(Vec<EdgeItem>),
-    Eval(Vec<(EvalTarget, usize, EvalSums)>),
 }
 
 /// Splits `items` into at most `parts` contiguous chunks (first chunks get
@@ -137,9 +106,10 @@ pub(crate) fn chunk<T>(items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
     out
 }
 
-/// Runs one job to completion. Shared by pool threads and the caller (so
-/// `threads = 1` exercises the identical code path with zero spawns).
-pub(crate) fn execute<M, S>(ctx: ExecCtx<'_, S>, eval_model: &mut M, job: Job<M>) -> Reply<M>
+/// Runs one job to completion on a lane whose model replica is
+/// `lane_model`. Shared by pool threads and the caller (so `threads = 1`
+/// exercises the identical code path with zero spawns).
+pub(crate) fn execute<M, S>(ctx: ExecCtx<'_, S>, lane_model: &mut M, job: Job) -> Reply
 where
     M: Model,
     S: Strategy + ?Sized,
@@ -147,7 +117,17 @@ where
     match job {
         Job::Steps { t, mut items } => {
             for item in &mut items {
-                run_step(ctx, t, item);
+                let step = &mut item.ctx;
+                step.batcher.next_batch_into(&mut step.batch);
+                clipped_local_step(
+                    ctx.strategy,
+                    t,
+                    &mut item.worker,
+                    lane_model,
+                    &ctx.worker_data[item.idx],
+                    &step.batch,
+                    ctx.cfg.clip_norm,
+                );
             }
             Reply::Steps(items)
         }
@@ -165,83 +145,40 @@ where
             }
             Reply::Edges(items)
         }
-        Job::Eval { params, chunks } => {
-            eval_model.set_params(&params);
-            let sums = chunks
-                .into_iter()
-                .map(|c| {
-                    let data = match c.target {
-                        EvalTarget::Test => ctx.test_data,
-                        EvalTarget::Probe => ctx.train_probe,
-                    };
-                    (c.target, c.idx, eval_model.evaluate_range(data, c.range))
-                })
-                .collect();
-            Reply::Eval(sums)
-        }
     }
 }
 
-/// One worker's local step: draw the next batch into the reusable buffer,
-/// then hand the strategy a gradient hook that reuses the worker's model
-/// replica and scratch vector — no per-step heap allocation.
-fn run_step<M, S>(ctx: ExecCtx<'_, S>, t: usize, item: &mut StepItem<M>)
-where
-    M: Model,
-    S: Strategy + ?Sized,
-{
-    let data = &ctx.worker_data[item.idx];
-    let step = &mut item.ctx;
-    step.batcher.next_batch_into(&mut step.batch);
-    let StepCtx { model, batch, .. } = step;
-    let clip = ctx.cfg.clip_norm;
-    let mut grad_fn = |p: &Vector, out: &mut Vector| {
-        model.set_params(p);
-        model.loss_and_grad_into(data, batch, out);
-        if let Some(max_norm) = clip {
-            let norm = out.norm();
-            if norm > max_norm {
-                out.scale_in_place(max_norm / norm);
-            }
-        }
-    };
-    ctx.strategy.local_step(t, &mut item.worker, &mut grad_fn);
-}
-
 /// A long-lived pool of `spawned` scoped threads, each holding its own
-/// evaluation-model replica and draining jobs from a private channel.
-pub(crate) struct Pool<M> {
-    senders: Vec<Sender<Job<M>>>,
-    reply_rx: Receiver<Reply<M>>,
+/// lane model replica and draining jobs from a private channel.
+pub(crate) struct Pool {
+    senders: Vec<Sender<Job>>,
+    reply_rx: Receiver<Reply>,
 }
 
-impl<M> Pool<M>
-where
-    M: Model + Clone + Send,
-{
+impl Pool {
     /// Spawns `spawned` worker threads on `scope` (the caller participates
     /// as thread 0, so the engine runs `spawned + 1` lanes). Dropping the
     /// pool closes the job channels, which ends every worker loop; the
     /// scope then joins them.
-    pub(crate) fn new<'env, 'scope, S>(
+    pub(crate) fn new<'env, 'scope, M, S>(
         scope: &'scope Scope<'scope, 'env>,
         spawned: usize,
         ctx: ExecCtx<'env, S>,
         model: &M,
     ) -> Self
     where
+        M: Model + Clone + Send + 'env,
         S: Strategy + ?Sized,
-        M: 'env,
     {
         let (reply_tx, reply_rx) = channel();
         let mut senders = Vec::with_capacity(spawned);
         for _ in 0..spawned {
-            let (tx, rx) = channel::<Job<M>>();
+            let (tx, rx) = channel::<Job>();
             let reply_tx = reply_tx.clone();
-            let mut eval_model = model.clone();
+            let mut lane_model = model.clone();
             scope.spawn(move || {
                 while let Ok(job) = rx.recv() {
-                    if reply_tx.send(execute(ctx, &mut eval_model, job)).is_err() {
+                    if reply_tx.send(execute(ctx, &mut lane_model, job)).is_err() {
                         break;
                     }
                 }
@@ -252,15 +189,17 @@ where
     }
 
     /// Executes a batch of jobs: jobs `1..` go to pool threads, job `0`
-    /// runs on the calling thread (overlapping with the pool), then all
-    /// replies are collected. `jobs.len()` must not exceed the lane count.
-    pub(crate) fn exec<S>(
+    /// runs on the calling thread (overlapping with the pool) on
+    /// `lane_model`, then all replies are collected. `jobs.len()` must not
+    /// exceed the lane count.
+    pub(crate) fn exec<M, S>(
         &self,
         ctx: ExecCtx<'_, S>,
-        eval_model: &mut M,
-        mut jobs: Vec<Job<M>>,
-    ) -> Vec<Reply<M>>
+        lane_model: &mut M,
+        mut jobs: Vec<Job>,
+    ) -> Vec<Reply>
     where
+        M: Model,
         S: Strategy + ?Sized,
     {
         assert!(
@@ -276,7 +215,7 @@ where
         for (job, tx) in jobs.into_iter().zip(&self.senders) {
             tx.send(job).expect("pool thread terminated early");
         }
-        replies.push(execute(ctx, eval_model, main_job));
+        replies.push(execute(ctx, lane_model, main_job));
         for _ in 0..sent {
             replies.push(self.reply_rx.recv().expect("pool thread terminated early"));
         }

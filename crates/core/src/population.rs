@@ -46,7 +46,9 @@ use serde::{Deserialize, Serialize};
 use crate::byzantine::corrupt_upload;
 use crate::checkpoint::TrainingSnapshot;
 use crate::config::RunConfig;
-use crate::driver::{build_train_probe, evaluate_on_replicas, run_span, RunError, RunResult};
+use crate::driver::{
+    build_train_probe, clipped_local_step, evaluate_on_replicas, run_span, RunError, RunResult,
+};
 use crate::state::{FlState, WorkerState};
 use crate::strategy::{fire_middle_tiers, Strategy, TierScope};
 
@@ -943,17 +945,15 @@ where
                                     continue;
                                 }
                                 b.next_batch_into(&mut batch);
-                                let mut grad_fn = |p: &Vector, out: &mut Vector| {
-                                    model.set_params(p);
-                                    model.loss_and_grad_into(data, &batch, out);
-                                    if let Some(max_norm) = clip {
-                                        let norm = out.norm();
-                                        if norm > max_norm {
-                                            out.scale_in_place(max_norm / norm);
-                                        }
-                                    }
-                                };
-                                strategy.local_step(t_base + step, w, &mut grad_fn);
+                                clipped_local_step(
+                                    strategy,
+                                    t_base + step,
+                                    w,
+                                    model,
+                                    data,
+                                    &batch,
+                                    clip,
+                                );
                             }
                         }
                     })

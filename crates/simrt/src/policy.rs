@@ -101,6 +101,159 @@ impl SyncPolicy {
     }
 }
 
+/// `ceil(quorum · n)`, clamped to `[1, n]`.
+pub(crate) fn quorum_count(quorum: f64, n: usize) -> usize {
+    ((quorum * n as f64).ceil() as usize).clamp(1, n)
+}
+
+/// One tier's round-collection state under a [`SyncPolicy`]: the single
+/// copy of the firing rule, of the staleness an aggregation hook sees and
+/// of the AsyncAge age bookkeeping. Both event engines drive their edge
+/// and cloud tiers through it.
+///
+/// A barrier does not know why a child may never arrive: the engine hands
+/// [`Barrier::ready`] its waiver predicate, and handles late arrivals
+/// itself (refreshing them with [`Barrier::refresh`]).
+pub(crate) struct Barrier {
+    /// Which children have arrived for the round being collected.
+    arrived: Vec<bool>,
+    /// How many children have arrived.
+    have: usize,
+    /// The last round whose upload refreshed each child's slot
+    /// ([`SyncPolicy::Deadline`] staleness).
+    last: Vec<usize>,
+    /// Firings since each child last took part ([`SyncPolicy::AsyncAge`]).
+    age: Vec<usize>,
+    /// The round's Deadline timer has expired.
+    timed_out: bool,
+    /// The staleness vector handed to the aggregation hooks, reused
+    /// across firings.
+    stale: Vec<usize>,
+}
+
+impl Barrier {
+    /// A barrier over `children` children whose slots were all last
+    /// refreshed by round `last_round`.
+    pub(crate) fn new(children: usize, last_round: usize) -> Self {
+        Barrier {
+            arrived: vec![false; children],
+            have: 0,
+            last: vec![last_round; children],
+            age: vec![0; children],
+            timed_out: false,
+            stale: vec![0; children],
+        }
+    }
+
+    /// Number of children.
+    pub(crate) fn children(&self) -> usize {
+        self.arrived.len()
+    }
+
+    /// Number of children that have arrived for the current round.
+    pub(crate) fn have(&self) -> usize {
+        self.have
+    }
+
+    /// Whether child `j` has arrived for the current round.
+    pub(crate) fn arrived(&self, j: usize) -> bool {
+        self.arrived[j]
+    }
+
+    /// Child `j`'s upload for `round` refreshed its slot, in time or not.
+    pub(crate) fn refresh(&mut self, j: usize, round: usize) {
+        self.last[j] = round;
+        self.age[j] = 0;
+    }
+
+    /// Child `j`'s upload for `round` arrived in time for the round being
+    /// collected. Returns whether it is the round's first arrival — where
+    /// a Deadline timer starts.
+    pub(crate) fn arrive(&mut self, j: usize, round: usize) -> bool {
+        self.refresh(j, round);
+        let first = self.have == 0;
+        if !self.arrived[j] {
+            self.arrived[j] = true;
+            self.have += 1;
+        }
+        first
+    }
+
+    /// The round's Deadline timer expired.
+    pub(crate) fn expire(&mut self) {
+        self.timed_out = true;
+    }
+
+    /// Every child's slot now dates from `round` (children that are
+    /// re-created each round carry their state over from the last one).
+    pub(crate) fn restart(&mut self, round: usize) {
+        self.last.fill(round);
+    }
+
+    /// Whether the round fires now. `waived(j)` says that absent child `j`
+    /// will not arrive and must not hold the round up; `live` below is the
+    /// child count less the waived absentees.
+    ///
+    /// - [`SyncPolicy::FullSync`]: every live child has arrived (at least
+    ///   one).
+    /// - [`SyncPolicy::Deadline`]: every live child has arrived, or the
+    ///   timer expired with at least `ceil(quorum · live)` arrivals — so a
+    ///   waived minority can never deadlock a round.
+    /// - [`SyncPolicy::AsyncAge`]: anything has arrived, and no absent,
+    ///   non-waived child is already `max_staleness` firings old.
+    pub(crate) fn ready(&self, policy: SyncPolicy, waived: impl Fn(usize) -> bool) -> bool {
+        if self.have == 0 {
+            return false;
+        }
+        let mut absent = (0..self.arrived.len()).filter(|&j| !self.arrived[j]);
+        match policy {
+            SyncPolicy::FullSync => absent.all(waived),
+            SyncPolicy::Deadline { quorum, .. } => {
+                let live = self.have + absent.filter(|&j| !waived(j)).count();
+                self.have == live || (self.timed_out && self.have >= quorum_count(quorum, live))
+            }
+            SyncPolicy::AsyncAge { max_staleness } => {
+                !absent.any(|j| self.age[j] >= max_staleness && !waived(j))
+            }
+        }
+    }
+
+    /// The per-child staleness the aggregation hooks see when the round
+    /// fires as round `round`: all zero under [`SyncPolicy::FullSync`],
+    /// rounds since the last refresh under [`SyncPolicy::Deadline`], and
+    /// the age under [`SyncPolicy::AsyncAge`].
+    pub(crate) fn staleness(&mut self, policy: SyncPolicy, round: usize) -> &[usize] {
+        match policy {
+            SyncPolicy::FullSync => self.stale.fill(0),
+            SyncPolicy::Deadline { .. } => {
+                for (s, &l) in self.stale.iter_mut().zip(&self.last) {
+                    *s = round.saturating_sub(l);
+                }
+            }
+            SyncPolicy::AsyncAge { .. } => self.stale.copy_from_slice(&self.age),
+        }
+        &self.stale
+    }
+
+    /// Closes the round: returns the children that took part, clears the
+    /// arrivals and the timer, and (under [`SyncPolicy::AsyncAge`]) ages
+    /// every absent child by one firing.
+    pub(crate) fn close(&mut self, policy: SyncPolicy) -> Vec<usize> {
+        let participants: Vec<usize> = (0..self.arrived.len())
+            .filter(|&j| self.arrived[j])
+            .collect();
+        if let SyncPolicy::AsyncAge { .. } = policy {
+            for (a, &arrived) in self.age.iter_mut().zip(&self.arrived) {
+                *a = if arrived { 0 } else { *a + 1 };
+            }
+        }
+        self.arrived.fill(false);
+        self.have = 0;
+        self.timed_out = false;
+        participants
+    }
+}
+
 /// Everything [`crate::simulate`] needs beyond the training inputs: the
 /// emulated testbed, the communication pattern, payload sizes, the network
 /// RNG seed, and the synchronization policy.
@@ -199,6 +352,84 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn quorum_count_ceils_and_clamps() {
+        assert_eq!(quorum_count(0.5, 4), 2);
+        assert_eq!(quorum_count(0.5, 3), 2);
+        assert_eq!(quorum_count(0.01, 4), 1);
+        assert_eq!(quorum_count(1.0, 4), 4);
+        assert_eq!(quorum_count(0.0, 4), 1, "clamped to at least one");
+    }
+
+    const DEADLINE: SyncPolicy = SyncPolicy::Deadline {
+        quorum: 0.5,
+        timeout_ms: 100.0,
+    };
+    const ASYNC: SyncPolicy = SyncPolicy::AsyncAge { max_staleness: 2 };
+
+    #[test]
+    fn barrier_fires_full_sync_once_every_live_child_arrived() {
+        let mut b = Barrier::new(3, 0);
+        assert!(!b.ready(SyncPolicy::FullSync, |_| true), "nothing arrived");
+        assert!(b.arrive(1, 1), "first arrival");
+        assert!(!b.arrive(0, 1));
+        assert!(!b.ready(SyncPolicy::FullSync, |_| false));
+        assert!(b.ready(SyncPolicy::FullSync, |j| j == 2), "child 2 waived");
+        b.arrive(2, 1);
+        assert!(b.ready(SyncPolicy::FullSync, |_| false));
+        assert_eq!(b.staleness(SyncPolicy::FullSync, 1), &[0, 0, 0]);
+        assert_eq!(b.close(SyncPolicy::FullSync), vec![0, 1, 2]);
+        assert_eq!(b.have(), 0);
+    }
+
+    #[test]
+    fn barrier_deadline_quorum_counts_only_live_children() {
+        let mut b = Barrier::new(4, 0);
+        b.arrive(0, 1);
+        assert!(!b.ready(DEADLINE, |_| false), "timer still running");
+        b.expire();
+        assert!(!b.ready(DEADLINE, |_| false), "1 of 4 is below quorum 2");
+        assert!(b.ready(DEADLINE, |j| j >= 2), "1 of 2 live meets quorum 1");
+        b.arrive(1, 1);
+        assert!(b.ready(DEADLINE, |_| false));
+        // Child 2 last refreshed in round 0; child 3 arrived late for 1.
+        b.refresh(3, 1);
+        assert_eq!(b.staleness(DEADLINE, 2), &[1, 1, 2, 1]);
+        assert_eq!(b.close(DEADLINE), vec![0, 1]);
+        assert!(!b.ready(DEADLINE, |_| false), "close clears arrivals");
+        b.arrive(0, 2);
+        assert!(!b.ready(DEADLINE, |j| j > 1), "close clears the timer");
+        b.restart(5);
+        assert_eq!(b.staleness(DEADLINE, 6), &[1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn barrier_async_age_blocks_on_an_old_absent_child_unless_waived() {
+        let mut b = Barrier::new(2, 0);
+        for firing in 1..=2 {
+            b.arrive(0, firing);
+            assert!(b.ready(ASYNC, |_| false), "child 1 is young");
+            assert_eq!(b.staleness(ASYNC, firing), &[0, firing - 1]);
+            assert_eq!(b.close(ASYNC), vec![0]);
+        }
+        b.arrive(0, 3);
+        assert!(!b.ready(ASYNC, |_| false), "child 1 is max_staleness old");
+        assert!(b.ready(ASYNC, |j| j == 1), "unless it is waived");
+        b.arrive(1, 3);
+        assert!(b.ready(ASYNC, |_| false));
+        assert_eq!(b.staleness(ASYNC, 3), &[0, 0]);
+        assert_eq!(b.close(ASYNC), vec![0, 1]);
+        b.arrive(1, 4);
+        assert_eq!(
+            b.staleness(ASYNC, 4),
+            &[0, 0],
+            "a full firing resets every age"
+        );
+        b.close(ASYNC);
+        b.arrive(1, 5);
+        assert_eq!(b.staleness(ASYNC, 5), &[1, 0]);
+    }
 
     #[test]
     fn full_sync_always_validates() {

@@ -20,15 +20,20 @@
 //!
 //! # Relaxed policies over sampled cohorts
 //!
-//! Because a cohort worker only exists for one round and re-materializes
-//! from its edge at the next round's start, the straggler semantics of
+//! Edge and cloud rounds collect through the same per-tier barrier as the
+//! classic engine (`crate::policy::Barrier`: one firing rule, one
+//! staleness vector, one age update for every policy); only the waivers
+//! and the late-arrival handling are this engine's own. Because a cohort
+//! worker only exists for one round and re-materializes from its edge at
+//! the next round's start, the straggler semantics of
 //! [`SyncPolicy::Deadline`] and [`SyncPolicy::AsyncAge`] simplify to
 //! *waiver-at-the-round*: a straggler that misses its round's firing is
 //! discarded (its slot re-materializes next round — the rejoin is free),
 //! and the slot's carried state enters the aggregation hook at staleness
-//! ≥ 1. Deadline rounds therefore see per-slot staleness of 0 or 1;
-//! AsyncAge tracks a per-slot buffer age that grows one per missed round
-//! and is bounded by `max_staleness` exactly as in the classic engine.
+//! ≥ 1. Materialization dates every slot to the previous round, so
+//! Deadline rounds see per-slot staleness of 0 or 1; AsyncAge ages persist
+//! per slot, grow one per missed round and are bounded by `max_staleness`
+//! exactly as in the classic engine.
 //!
 //! # Faults over sampled cohorts
 //!
@@ -56,14 +61,15 @@
 use std::collections::BTreeMap;
 
 use hieradmo_core::byzantine::corrupt_upload;
-use hieradmo_core::driver::{build_train_probe, evaluate_on_replicas, RunError};
+use hieradmo_core::driver::{
+    build_train_probe, clipped_local_step, evaluate_on_replicas, RunError,
+};
 use hieradmo_core::population::{
     adversary_stream, batcher_seed, cohort_dropout_mask, delay_stream, fault_stream,
     materialize_edge_cohort, virtual_global_params, weighted_edge_average, CohortSampler,
     WorkerPopulation,
 };
-use hieradmo_core::strategy::fire_middle_tiers;
-use hieradmo_core::{FlState, RunConfig, Strategy, TierState, WorkerState};
+use hieradmo_core::{FlState, RunConfig, Strategy};
 use hieradmo_data::{Batcher, Dataset};
 use hieradmo_metrics::{
     ActorAdversaries, ActorFaults, ActorUtilization, AdversaryCounters, ConvergenceCurve,
@@ -74,9 +80,9 @@ use hieradmo_netsim::{AdversarySampler, Architecture, AttackModel, DelaySampler,
 use hieradmo_tensor::Vector;
 use hieradmo_topology::{Hierarchy, TierTree, Weights};
 
-use crate::driver::{quorum_count, SimError, SimResult};
+use crate::driver::{fire_cloud_round, SimError, SimResult};
 use crate::event::{ActorId, EventQueue};
-use crate::policy::{SimConfig, SyncPolicy};
+use crate::policy::{Barrier, SimConfig, SyncPolicy};
 
 /// One scheduled occurrence in the virtual-population simulation. `slot`
 /// indexes the cohort (the active actors), never the registered
@@ -135,15 +141,10 @@ struct EdgeSim {
     /// The current round's aggregation already ran: anything still in
     /// flight for it is a straggler and is discarded on arrival.
     fired: bool,
-    /// Per-slot upload landed this round.
-    arrived: Vec<bool>,
+    /// Collection state over the edge's cohort slots.
+    barrier: Barrier,
     /// Per-slot fault absence this round (crashed at materialization).
     absent: Vec<bool>,
-    /// Per-slot buffer age, in rounds since the slot last contributed
-    /// ([`SyncPolicy::AsyncAge`] only).
-    age: Vec<usize>,
-    /// The deadline quorum timer for the current round expired.
-    timed_out: bool,
     /// The edge has finished its final round.
     done: bool,
     /// Busy virtual milliseconds (aggregation compute + cloud transfers).
@@ -184,18 +185,10 @@ struct VEngine<'a, M, S: ?Sized> {
     /// The fault plan injects something; `false` guarantees zero fault
     /// draws and a run bitwise identical to one without fault injection.
     faults_on: bool,
-    cloud_arrived: Vec<bool>,
-    /// Next submission boundary to fire (1-based;
-    /// [`SyncPolicy::FullSync`] / [`SyncPolicy::Deadline`]).
-    cloud_boundary: usize,
-    /// Cloud firings so far ([`SyncPolicy::AsyncAge`] boundary counter).
+    /// Cloud firings so far; the boundary being collected is the next one.
     cloud_firings: usize,
-    /// Last boundary each edge submitted (deadline staleness).
-    cloud_last_boundary: Vec<usize>,
-    /// Per-edge age, in firings since last participation (async).
-    cloud_age: Vec<usize>,
-    /// The deadline quorum timer for the current boundary expired.
-    cloud_timed_out: bool,
+    /// Collection state over the edges.
+    cloud_barrier: Barrier,
     cloud_busy_ms: f64,
     cloud_sampler: DelaySampler,
     /// Aggregate busy time of all sampled workers (the worker tier is
@@ -236,7 +229,7 @@ struct VEngine<'a, M, S: ?Sized> {
 /// Runs the link-fault retry protocol for one transfer: draws the outcome
 /// from `fs`, tallies it into the sender's `counters`, and returns the
 /// delay penalty plus the duplicate's extra lag, if one was spawned.
-fn link_transfer(
+pub(crate) fn link_transfer(
     lf: &hieradmo_netsim::LinkFaults,
     fs: &mut FaultSampler,
     counters: &mut FaultCounters,
@@ -274,8 +267,9 @@ impl<'a, M: Model + Clone + Send, S: Strategy + ?Sized> VEngine<'a, M, S> {
         self.edges[e].round += 1;
         let k = self.edges[e].round;
         self.edges[e].fired = false;
-        self.edges[e].timed_out = false;
-        self.edges[e].arrived.fill(false);
+        // Fresh slots carry the edge's state over from the last round, so
+        // a slot that misses this round is one round stale.
+        self.edges[e].barrier.restart(k - 1);
         let ids = materialize_edge_cohort(
             &mut self.fl,
             self.population,
@@ -409,22 +403,15 @@ impl<'a, M: Model + Clone + Send, S: Strategy + ?Sized> VEngine<'a, M, S> {
             let t = (round - 1) * self.cfg.tau + steps;
             let ctx = &mut self.slots[slot];
             ctx.batcher.next_batch_into(&mut self.batch);
-            let data = &self.shards[ctx.shard];
-            let model = &mut self.step_model;
-            let batch = &self.batch;
-            let clip = self.cfg.clip_norm;
-            let mut grad_fn = |p: &Vector, out: &mut Vector| {
-                model.set_params(p);
-                model.loss_and_grad_into(data, batch, out);
-                if let Some(max_norm) = clip {
-                    let norm = out.norm();
-                    if norm > max_norm {
-                        out.scale_in_place(max_norm / norm);
-                    }
-                }
-            };
-            self.strategy
-                .local_step(t, &mut self.fl.workers[slot], &mut grad_fn);
+            clipped_local_step(
+                self.strategy,
+                t,
+                &mut self.fl.workers[slot],
+                &mut self.step_model,
+                &self.shards[ctx.shard],
+                &self.batch,
+                self.cfg.clip_norm,
+            );
         }
         if steps < self.cfg.tau {
             self.schedule_step(slot, now);
@@ -481,89 +468,71 @@ impl<'a, M: Model + Clone + Send, S: Strategy + ?Sized> VEngine<'a, M, S> {
             );
         }
         let j = slot - self.fl.hierarchy.edge_workers(e).start;
-        self.edges[e].arrived[j] = true;
-        match self.sim.policy {
-            SyncPolicy::FullSync => self.maybe_fire_edge_full(e, now),
-            SyncPolicy::Deadline { timeout_ms, .. } => {
-                let first = self.edges[e].arrived.iter().filter(|&&a| a).count() == 1;
-                if first {
-                    self.queue.push(
-                        now + timeout_ms,
-                        ActorId::Edge(e),
-                        VEv::EdgeTimeout { edge: e, round },
-                    );
-                }
-                self.maybe_fire_edge_deadline(e, now);
-            }
-            SyncPolicy::AsyncAge { .. } => {
-                self.edges[e].age[j] = 0;
-                self.maybe_fire_edge_async(e, now);
+        let first = self.edges[e].barrier.arrive(j, round);
+        if let SyncPolicy::Deadline { timeout_ms, .. } = self.sim.policy {
+            if first {
+                self.queue.push(
+                    now + timeout_ms,
+                    ActorId::Edge(e),
+                    VEv::EdgeTimeout { edge: e, round },
+                );
             }
         }
+        self.try_fire_edge(e, now);
     }
 
     fn on_edge_timeout(&mut self, e: usize, round: usize, now: f64) {
         if self.edges[e].round != round || self.edges[e].fired {
             return; // stale timer for an already-fired round
         }
-        self.edges[e].timed_out = true;
-        self.maybe_fire_edge_deadline(e, now);
+        self.edges[e].barrier.expire();
+        self.try_fire_edge(e, now);
     }
 
-    /// Full-sync edge barrier with the fault waiver: fires once every
-    /// non-absent slot has arrived. With no faults this is exactly the
-    /// all-arrived barrier.
-    fn maybe_fire_edge_full(&mut self, e: usize, now: f64) {
+    /// Fires edge `e`'s round if its barrier is ready. Slots that are down
+    /// for the round (absent) are waived under every policy: they
+    /// re-materialize next round anyway.
+    fn try_fire_edge(&mut self, e: usize, now: f64) {
         let edge = &self.edges[e];
-        if edge.fired || !edge.arrived.iter().any(|&a| a) {
-            return;
-        }
-        let all = edge
-            .arrived
-            .iter()
-            .zip(&edge.absent)
-            .all(|(&a, &ab)| a || ab);
-        if all {
+        if !edge.fired && edge.barrier.ready(self.sim.policy, |j| edge.absent[j]) {
             self.fire_edge(e, now);
         }
     }
 
-    fn maybe_fire_edge_deadline(&mut self, e: usize, now: f64) {
-        let SyncPolicy::Deadline { quorum, .. } = self.sim.policy else {
-            return;
-        };
-        let edge = &self.edges[e];
-        if edge.fired {
-            return;
-        }
-        let have = edge.arrived.iter().filter(|&&a| a).count();
-        if have == 0 {
-            return;
-        }
-        // Quorum re-derivation: absent (crashed-for-the-round) slots leave
-        // the denominator, so faults can never deadlock the round.
-        let live_total = edge.arrived.len() - edge.absent.iter().filter(|&&a| a).count();
-        if have == live_total || (edge.timed_out && have >= quorum_count(quorum, live_total)) {
-            self.fire_edge(e, now);
+    /// Fires the cloud boundary if its barrier is ready. Edges never die
+    /// here (cohorts re-materialize); under AsyncAge an edge that retired
+    /// after its final round is waived.
+    fn try_fire_cloud(&mut self, now: f64) {
+        let retired_waived = matches!(self.sim.policy, SyncPolicy::AsyncAge { .. });
+        if self
+            .cloud_barrier
+            .ready(self.sim.policy, |l| retired_waived && self.edges[l].done)
+        {
+            self.fire_cloud(now);
         }
     }
 
-    fn maybe_fire_edge_async(&mut self, e: usize, now: f64) {
-        let SyncPolicy::AsyncAge { max_staleness } = self.sim.policy else {
-            return;
-        };
-        let edge = &self.edges[e];
-        if edge.fired || !edge.arrived.iter().any(|&a| a) {
-            return;
+    /// Draws edge `e`'s cloud-hop transfer delay (both directions share the
+    /// edge's streams and its link-fault tallies) and charges its busy
+    /// time. Returns `(delay_ms, duplicate_lag_ms)`.
+    fn cloud_hop(&mut self, e: usize, bytes: u64) -> (f64, Option<f64>) {
+        let flows = self.edges.len();
+        let edge = &mut self.edges[e];
+        let mut d = edge
+            .sampler
+            .shared_transfer_ms(&self.sim.env.edge_cloud_link, bytes, flows);
+        let mut dup = None;
+        if let Some(lf) = self.sim.faults.link {
+            let fs = edge
+                .fsampler
+                .as_mut()
+                .expect("link faults imply an active edge fault stream");
+            let (penalty, lag) = link_transfer(&lf, fs, &mut edge.faults);
+            d += penalty;
+            dup = lag;
         }
-        // A too-stale absent slot blocks the firing — unless it is down
-        // for the round and cannot catch up: the staleness cap is waived
-        // for slots that will re-materialize anyway.
-        let blocked = (0..edge.arrived.len())
-            .any(|j| !edge.arrived[j] && !edge.absent[j] && edge.age[j] >= max_staleness);
-        if !blocked {
-            self.fire_edge(e, now);
-        }
+        edge.busy_ms += d;
+        (d, dup)
     }
 
     /// Fires the edge's current round with whoever has arrived: runs the
@@ -574,56 +543,21 @@ impl<'a, M: Model + Clone + Send, S: Strategy + ?Sized> VEngine<'a, M, S> {
     fn fire_edge(&mut self, e: usize, now: f64) {
         let k = self.edges[e].round;
         self.edges[e].fired = true;
-        let c = self.edges[e].arrived.len();
-        let any_arrived = self.edges[e].arrived.iter().any(|&a| a);
-        let staleness: Vec<usize> = match self.sim.policy {
-            SyncPolicy::FullSync => vec![0; c],
-            // Slots exist for one round, so deadline staleness is binary:
-            // arrived in time (0) or waived and re-materialized (1).
-            SyncPolicy::Deadline { .. } => (0..c)
-                .map(|j| usize::from(!self.edges[e].arrived[j]))
-                .collect(),
-            SyncPolicy::AsyncAge { .. } => self.edges[e].age.clone(),
-        };
         let d = self.edges[e].sampler.compute_ms(&self.sim.env.edge_device);
         self.edges[e].busy_ms += d;
-        if any_arrived {
+        if self.edges[e].barrier.have() > 0 {
+            let staleness = self.edges[e].barrier.staleness(self.sim.policy, k);
             let mut view = self.fl.edge_view(e);
-            self.strategy.edge_aggregate_stale(k, &mut view, &staleness);
+            self.strategy.edge_aggregate_stale(k, &mut view, staleness);
         }
+        self.edges[e].barrier.close(self.sim.policy);
         let (gamma, cos) = (self.fl.edges[e].gamma_edge, self.fl.edges[e].cos_theta);
         self.stage_gamma(k, e, gamma, cos);
-        if let SyncPolicy::AsyncAge { .. } = self.sim.policy {
-            for j in 0..c {
-                if self.edges[e].arrived[j] {
-                    self.edges[e].age[j] = 0;
-                } else {
-                    self.edges[e].age[j] += 1;
-                }
-            }
-        }
         if k.is_multiple_of(self.submit_period) {
             // Boundary round: submit to the cloud (where any middle tiers
             // are co-hosted) and wait for its reply before evaluating or
             // advancing.
-            let flows = self.edges.len();
-            let edge = &mut self.edges[e];
-            let mut du = edge.sampler.shared_transfer_ms(
-                &self.sim.env.edge_cloud_link,
-                self.sim.upload_bytes,
-                flows,
-            );
-            let mut dup = None;
-            if let Some(lf) = self.sim.faults.link {
-                let fs = edge
-                    .fsampler
-                    .as_mut()
-                    .expect("link faults imply an active edge fault stream");
-                let (pen, lag) = link_transfer(&lf, fs, &mut edge.faults);
-                du += pen;
-                dup = lag;
-            }
-            edge.busy_ms += du;
+            let (du, dup) = self.cloud_hop(e, self.sim.upload_bytes);
             self.queue.push(
                 now + d + du,
                 ActorId::Edge(e),
@@ -663,163 +597,61 @@ impl<'a, M: Model + Clone + Send, S: Strategy + ?Sized> VEngine<'a, M, S> {
     }
 
     fn on_cloud_submit(&mut self, e: usize, p: usize, now: f64) {
-        match self.sim.policy {
-            SyncPolicy::FullSync => {
-                // Edges never die in the virtual engine (cohorts
-                // re-materialize), so the full barrier always completes.
-                self.cloud_arrived[e] = true;
-                self.cloud_last_boundary[e] = p;
-                if self.cloud_arrived.iter().all(|&a| a) {
-                    self.fire_cloud(now);
-                }
-            }
-            SyncPolicy::Deadline { timeout_ms, .. } => {
-                if p < self.cloud_boundary {
-                    // Late: the boundary fired without this edge (its
-                    // carried state was merged at staleness ≥ 1). The
-                    // continuation is a release without a pull — the edge
-                    // keeps its own state and rolls straight on.
-                    self.cloud_last_boundary[e] = p;
-                    self.finish_edge_round(e, now);
-                } else {
-                    let first = !self.cloud_arrived.iter().any(|&a| a);
-                    self.cloud_arrived[e] = true;
-                    self.cloud_last_boundary[e] = p;
-                    if first {
-                        let boundary = self.cloud_boundary;
-                        self.queue.push(
-                            now + timeout_ms,
-                            ActorId::Cloud,
-                            VEv::CloudTimeout { boundary },
-                        );
-                    }
-                    self.maybe_fire_cloud_deadline(now);
-                }
-            }
-            SyncPolicy::AsyncAge { .. } => {
-                self.cloud_arrived[e] = true;
-                self.cloud_age[e] = 0;
-                self.cloud_last_boundary[e] = p;
-                self.maybe_fire_cloud_async(now);
+        let policy = self.sim.policy;
+        if !matches!(policy, SyncPolicy::AsyncAge { .. }) && p <= self.cloud_firings {
+            // Late: the boundary fired without this edge (its carried state
+            // was merged at staleness ≥ 1). The continuation is a release
+            // without a pull — the edge keeps its own state and rolls
+            // straight on.
+            self.cloud_barrier.refresh(e, p);
+            self.finish_edge_round(e, now);
+            return;
+        }
+        let first = self.cloud_barrier.arrive(e, p);
+        if let SyncPolicy::Deadline { timeout_ms, .. } = policy {
+            if first {
+                let boundary = self.cloud_firings + 1;
+                self.queue.push(
+                    now + timeout_ms,
+                    ActorId::Cloud,
+                    VEv::CloudTimeout { boundary },
+                );
             }
         }
+        self.try_fire_cloud(now);
     }
 
     fn on_cloud_timeout(&mut self, boundary: usize, now: f64) {
-        if self.cloud_boundary != boundary {
+        if self.cloud_firings + 1 != boundary {
             return; // stale timer for an already-fired boundary
         }
-        self.cloud_timed_out = true;
-        self.maybe_fire_cloud_deadline(now);
+        self.cloud_barrier.expire();
+        self.try_fire_cloud(now);
     }
 
-    fn maybe_fire_cloud_deadline(&mut self, now: f64) {
-        let SyncPolicy::Deadline { quorum, .. } = self.sim.policy else {
-            return;
-        };
-        let have = self.cloud_arrived.iter().filter(|&&a| a).count();
-        if have == 0 {
-            return;
-        }
-        let total = self.cloud_arrived.len();
-        if have == total || (self.cloud_timed_out && have >= quorum_count(quorum, total)) {
-            self.fire_cloud(now);
-        }
-    }
-
-    fn maybe_fire_cloud_async(&mut self, now: f64) {
-        let SyncPolicy::AsyncAge { max_staleness } = self.sim.policy else {
-            return;
-        };
-        if !self.cloud_arrived.iter().any(|&a| a) {
-            return;
-        }
-        // A too-stale absent edge blocks the firing — unless it has
-        // retired (finished its final round) and will never submit again.
-        let blocked = (0..self.cloud_arrived.len()).any(|l| {
-            !self.cloud_arrived[l] && self.cloud_age[l] >= max_staleness && !self.edges[l].done
-        });
-        if !blocked {
-            self.fire_cloud(now);
-        }
-    }
-
-    /// Fires the cloud boundary with whichever edges have submitted. For
-    /// partial boundaries the absent edges' state is snapshotted around
-    /// the hooks, so the global update reads their carried-over
-    /// submissions but does not overwrite state they never received.
-    /// Middle tiers (co-hosted here) fire bottom-up at their own interval
-    /// boundaries with per-subtree staleness slices, then the root at its
-    /// `π` boundary — mirroring the classic engine's `fire_cloud`.
+    /// Fires the cloud boundary with whichever edges have submitted (see
+    /// [`fire_cloud_round`]) and replies to the participants.
     fn fire_cloud(&mut self, now: f64) {
-        let l_count = self.cloud_arrived.len();
-        let participants: Vec<usize> = (0..l_count).filter(|&l| self.cloud_arrived[l]).collect();
-        let (p, staleness): (usize, Vec<usize>) = match self.sim.policy {
-            SyncPolicy::FullSync => (self.cloud_boundary, vec![0; l_count]),
-            SyncPolicy::Deadline { .. } => {
-                let r = self.cloud_boundary;
-                let stale = (0..l_count)
-                    .map(|l| r.saturating_sub(self.cloud_last_boundary[l]))
-                    .collect();
-                (r, stale)
-            }
-            SyncPolicy::AsyncAge { .. } => (self.cloud_firings + 1, self.cloud_age.clone()),
-        };
+        let p = self.cloud_firings + 1;
         let d = self.cloud_sampler.compute_ms(&self.sim.env.cloud_device);
         self.cloud_busy_ms += d;
-        let saved: Vec<(usize, TierState, Vec<WorkerState>)> = (0..l_count)
-            .filter(|l| !participants.contains(l))
-            .map(|l| {
-                (
-                    l,
-                    self.fl.edges[l].clone(),
-                    self.fl.workers[self.fl.hierarchy.edge_workers(l)].to_vec(),
-                )
-            })
-            .collect();
         // The edge round this submission closes; `p` counts submission
         // boundaries, which fall every `submit_period` edge rounds.
         let k = p * self.submit_period;
-        if let Some(tree) = &self.cohort_tree {
-            fire_middle_tiers(
-                self.strategy,
-                &mut self.fl,
-                tree,
-                k,
-                Some(&staleness),
-                &mut self.tier_gamma,
-            );
-        }
-        // The root fires only on its own boundary — every submission on
-        // three-tier runs, every `π / submit_period`-th on N-tier runs.
-        if k.is_multiple_of(self.cfg.pi) {
-            self.strategy
-                .cloud_aggregate_stale(k / self.cfg.pi, &mut self.fl, &staleness);
-        }
-        for (l, es, ws) in saved {
-            self.fl.edges[l] = es;
-            let range = self.fl.hierarchy.edge_workers(l);
-            self.fl.workers[range].clone_from_slice(&ws);
-        }
-        let flows = self.edges.len();
+        let participants = fire_cloud_round(
+            self.strategy,
+            &mut self.fl,
+            &mut self.cloud_barrier,
+            self.sim.policy,
+            p,
+            k,
+            self.cfg.pi,
+            self.cohort_tree.as_ref(),
+            &mut self.tier_gamma,
+            |_| {},
+        );
         for &l in &participants {
-            let edge = &mut self.edges[l];
-            let mut dd = edge.sampler.shared_transfer_ms(
-                &self.sim.env.edge_cloud_link,
-                self.sim.download_bytes,
-                flows,
-            );
-            let mut dup = None;
-            if let Some(lf) = self.sim.faults.link {
-                let fs = edge
-                    .fsampler
-                    .as_mut()
-                    .expect("link faults imply an active edge fault stream");
-                let (pen, lag) = link_transfer(&lf, fs, &mut edge.faults);
-                dd += pen;
-                dup = lag;
-            }
-            edge.busy_ms += dd;
+            let (dd, dup) = self.cloud_hop(l, self.sim.download_bytes);
             self.queue
                 .push(now + d + dd, ActorId::Edge(l), VEv::CloudReply { edge: l });
             if let Some(lag) = dup {
@@ -828,21 +660,7 @@ impl<'a, M: Model + Clone + Send, S: Strategy + ?Sized> VEngine<'a, M, S> {
                     .push(now + d + dd + lag, to, VEv::DupArrival { to });
             }
         }
-        self.cloud_firings += 1;
-        self.cloud_arrived.fill(false);
-        self.cloud_timed_out = false;
-        match self.sim.policy {
-            SyncPolicy::FullSync | SyncPolicy::Deadline { .. } => self.cloud_boundary += 1,
-            SyncPolicy::AsyncAge { .. } => {
-                for (l, a) in self.cloud_age.iter_mut().enumerate() {
-                    if participants.contains(&l) {
-                        *a = 0;
-                    } else {
-                        *a += 1;
-                    }
-                }
-            }
-        }
+        self.cloud_firings = p;
     }
 
     /// Stages edge `e`'s round-`k` post-aggregation model; fires the
@@ -1205,10 +1023,8 @@ where
             EdgeSim {
                 round: 0,
                 fired: false,
-                arrived: vec![false; c],
+                barrier: Barrier::new(c, 0),
                 absent: vec![false; c],
-                age: vec![0; c],
-                timed_out: false,
                 done: false,
                 busy_ms: 0.0,
                 sampler: DelaySampler::from_stream(sim.net_seed ^ SALT_EDGE_STREAM, e as u64),
@@ -1236,12 +1052,8 @@ where
         cohort_tree,
         submit_period,
         faults_on: !sim.faults.is_empty(),
-        cloud_arrived: vec![false; l_count],
-        cloud_boundary: 1,
         cloud_firings: 0,
-        cloud_last_boundary: vec![0; l_count],
-        cloud_age: vec![0; l_count],
-        cloud_timed_out: false,
+        cloud_barrier: Barrier::new(l_count, 0),
         cloud_busy_ms: 0.0,
         cloud_sampler: DelaySampler::from_stream(sim.net_seed ^ SALT_CLOUD_STREAM, 0),
         workers_busy_ms: 0.0,
